@@ -30,7 +30,7 @@ Two targets, selected with ``--bench``:
   verdict).  Writes ``BENCH_faults.json``.
 - ``freshness`` — the train->serve loop: runs the online-training
   driver under hot-set churn (delta checkpoints, canary-gated staged
-  hot swaps on a ResilientFleet) against a frozen arm serving the
+  hot swaps on the fleet engine) against a frozen arm serving the
   identical trace at the same replica count.  Records the per-window
   AUC gap, the mean online-vs-frozen AUC gain, the delta-over-full
   checkpoint compression, and the swap count.  Writes
@@ -230,7 +230,7 @@ def bench_serving_fleet(args, requests) -> dict:
             cache_rows=args.cache_rows,
         )
         start = time.perf_counter()
-        report = fleet.serve(requests)
+        report = fleet.serve(requests).fleet
         wall = time.perf_counter() - start
         out[router] = {
             "wall_clock_s": wall,

@@ -109,7 +109,7 @@ def test_bench_fleet_replay(benchmark):
             router="round_robin",
             cache_rows=CACHE_ROWS,
         )
-        return fleet.serve(reqs)
+        return fleet.serve(reqs).fleet
 
     report = benchmark(serve)
     assert report.fleet.num_requests == 5_000

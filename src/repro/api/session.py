@@ -95,7 +95,6 @@ from repro.serving import (
     Placement,
     RecoveryModel,
     RequestStream,
-    ResilientFleet,
     RetryPolicy,
     SLOAutoscaler,
     ServingFleet,
@@ -103,8 +102,6 @@ from repro.serving import (
     TieredPlacementEngine,
     WorkloadConfig,
     build_storage,
-    make_tiered_fleet,
-    make_tiered_service,
 )
 from repro.online import OnlineDriver, RolloutPlanner
 from repro.sim import SimCluster
@@ -790,7 +787,6 @@ class Session:
             )
             fs = self.spec.faults
             asp = self.spec.autoscale
-            resilient = fs is not None or asp is not None
             fault_cfg: Optional[FaultConfig] = None
             retry_cfg: Optional[RetryPolicy] = None
             recovery_cfg: Optional[RecoveryModel] = None
@@ -858,6 +854,11 @@ class Session:
                     )
                 )
 
+            def make_cache() -> Any:
+                if storage is not None:
+                    return storage.make_chain(LRUEmbeddingCache)
+                return LRUEmbeddingCache(serve.cache_rows)
+
             reports, timelines = {}, {}
             fleet_reports, fault_reports = {}, {}
             for strategy in placements:
@@ -867,36 +868,26 @@ class Session:
                     serve.max_queue_delay_ms * 1e-3,
                 )
                 placement = Placement(strategy, emb_hosts=emb_hosts)
-                if resilient:
-                    # Faults/autoscaling are a fleet story (the spec
-                    # layer enforces serve.uses_fleet); the tiered
-                    # engine composes unchanged via injection.
-                    tiered_engine = (
-                        TieredPlacementEngine(
-                            sim, model, placement, storage
-                        )
-                        if storage is not None
-                        else None
-                    )
-                    server: Any = ResilientFleet(
+                engine = (
+                    TieredPlacementEngine(sim, model, placement, storage)
+                    if storage is not None
+                    else None
+                )
+
+                if serve.uses_fleet:
+                    # Faults, autoscaling and tiers are arguments of the
+                    # one fleet engine (the spec layer keeps faults and
+                    # autoscaling on fleets).
+                    server: Any = ServingFleet(
                         sim,
                         model,
                         placement,
                         batcher,
                         router=serve.router,
                         num_replicas=serve.fleet_replicas,
-                        cache_rows=serve.cache_rows,
-                        cache_factory=(
-                            (
-                                lambda: storage.make_chain(
-                                    LRUEmbeddingCache
-                                )
-                            )
-                            if storage is not None
-                            else None
-                        ),
+                        cache_factory=make_cache,
                         router_seed=serve.seed,
-                        engine=tiered_engine,
+                        engine=engine,
                         faults=fault_cfg,
                         retry=retry_cfg,
                         recovery=recovery_cfg,
@@ -908,39 +899,14 @@ class Session:
                             fs.stale_penalty if fs is not None else 0.05
                         ),
                     )
-                elif storage is not None and serve.uses_fleet:
-                    server = make_tiered_fleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        storage,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        router_seed=serve.seed,
-                    )
-                elif storage is not None:
-                    server = make_tiered_service(
-                        sim, model, placement, batcher, storage
-                    )
-                elif serve.uses_fleet:
-                    server = ServingFleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        cache_rows=serve.cache_rows,
-                        router_seed=serve.seed,
-                    )
                 else:
                     server = InferenceService(
                         sim,
                         model,
                         placement,
                         batcher,
-                        LRUEmbeddingCache(serve.cache_rows),
+                        make_cache(),
+                        engine=engine,
                     )
                 if warm_from is not None:
                     seeded = server.warm_start_from_checkpoint(warm_from)
@@ -948,13 +914,13 @@ class Session:
                         strategy
                     ] = seeded
                 outcome = server.serve(requests)
-                if resilient:
-                    fault_reports[strategy] = outcome
+                if serve.uses_fleet:
+                    # Only a faults or autoscale section asks for the
+                    # robustness ledger.
+                    if fs is not None or asp is not None:
+                        fault_reports[strategy] = outcome
                     fleet_reports[strategy] = outcome.fleet
                     reports[strategy] = outcome.fleet.fleet
-                elif serve.uses_fleet:
-                    fleet_reports[strategy] = outcome
-                    reports[strategy] = outcome.fleet
                 else:
                     reports[strategy] = outcome
                 timelines[strategy] = sim.timeline
@@ -1032,7 +998,7 @@ class Session:
         :class:`~repro.online.OnlineDriver` emits a delta checkpoint
         per window and canary-gates each deploy; the resulting rollout
         schedule is replayed as staged hot swaps on a
-        :class:`~repro.serving.ResilientFleet` against a frozen arm on
+        :class:`~repro.serving.ServingFleet` against a frozen arm on
         the *same* request trace — equal provisioned cost, so any AUC
         gap is pure freshness.
         """
@@ -1151,7 +1117,7 @@ class Session:
             fault_reports = {}
             for arm, arm_swaps in (("online", swaps), ("frozen", ())):
                 sim = SimCluster(cluster)
-                fleet = ResilientFleet(
+                fleet = ServingFleet(
                     sim,
                     serving_model,
                     Placement(strategy, emb_hosts=emb_hosts),

@@ -14,7 +14,7 @@ loop and measures what freshness buys at **equal serving cost**:
   canary-gating each deploy on eval AUC;
 - the resulting rollout plan is replayed as staged hot swaps
   (1 → half → all, priced downtime + warm prefill of the delta's
-  touched rows) on a :class:`~repro.serving.ResilientFleet`, against a
+  touched rows) on a :class:`~repro.serving.ServingFleet`, against a
   frozen arm serving the same trace with the same replica count.
 
 What the table shows: the frozen arm's per-window eval AUC decays as

@@ -22,7 +22,7 @@ freshness loop runs in two passes:
    staged 1 → half → all across the fleet, each swap paying priced
    downtime plus a warm prefill of the delta's touched rows; a
    rollback becomes a canary swap followed by a revert swap on the
-   same replica.  :class:`~repro.serving.faults.ResilientFleet` then
+   same replica.  :class:`~repro.serving.fleet.ServingFleet` then
    replays the trace once per arm (swapped vs. frozen) at equal
    provisioned cost.
 """

@@ -8,7 +8,8 @@ on the same cost-model machinery:
 - :mod:`repro.serving.workload` — Poisson request streams with
   hot-key skew, plus diurnal / flash-crowd / hot-set-churn scenarios;
 - :mod:`repro.serving.batcher` — dynamic micro-batching
-  (flush-on-full / flush-on-deadline);
+  (flush-on-full / flush-on-deadline), resumable across pieces of a
+  trace;
 - :mod:`repro.serving.cache` — LRU embedding cache with hit-rate
   accounting (vectorized fast path + reference implementation);
 - :mod:`repro.serving.service` — the :class:`InferenceService` that
@@ -17,26 +18,30 @@ on the same cost-model machinery:
   :class:`~repro.sim.SimCluster` and reports p50/p95/p99 latency,
   sustained throughput, and per-phase timeline breakdowns for
   colocated vs disaggregated embedding placement;
-- :mod:`repro.serving.fleet` — the :class:`ServingFleet`: N replicas,
-  each with its own batcher and cache, fed by a pluggable router
-  (round-robin / consistent-hash / power-of-two-choices) on the same
-  priced cluster;
+- :mod:`repro.serving.fleet` — the :class:`ServingFleet`, the one
+  fleet replay engine: N replicas, each with its own batcher and cache,
+  fed by a pluggable router (round-robin / consistent-hash /
+  power-of-two-choices on recent load, counter-hashed draws) on the
+  same priced cluster.  It walks control events (faults, swaps,
+  windows, membership) one at a time and replays the event-free
+  stretches between them vectorized; a healthy fleet is the same
+  engine with no fault events;
 - :mod:`repro.serving.tiers` — the tiered storage hierarchy: a
   multi-level :class:`CacheChain` (HBM/DRAM/SSD) over an HBM or
   remote-parameter-server backing, priced per
   :class:`~repro.hardware.MemoryTierSpec`, with the classic single-tier
   path as the bit-identical degenerate preset;
 - :mod:`repro.serving.faults` — seeded fault injection (replica
-  crash/hang, fetch-tier degradation/outage) with client-side
-  timeout/retry/backoff, degraded-mode serving, and crash recovery
-  priced by an MTTR model — the :class:`ResilientFleet` replay;
+  crash/hang, fetch-tier degradation/outage), client-side
+  timeout/retry/backoff, crash recovery priced by an MTTR model, hot
+  swaps, and the :class:`FaultReport` every fleet replay returns;
 - :mod:`repro.serving.autoscale` — the closed-loop SLO autoscaler
   watching windowed p99/queue depth and scaling the fleet between
   bounds with priced warm-start prefill.
 """
 
 from repro.serving.autoscale import AutoscalePolicy, SLOAutoscaler
-from repro.serving.batcher import MicroBatch, MicroBatcher
+from repro.serving.batcher import MicroBatch, MicroBatcher, OpenBatch
 from repro.serving.cache import (
     CacheStats,
     LRUEmbeddingCache,
@@ -48,7 +53,6 @@ from repro.serving.faults import (
     FaultEvent,
     FaultReport,
     RecoveryModel,
-    ResilientFleet,
     RetryPolicy,
     SwapEvent,
 )
@@ -98,6 +102,7 @@ __all__ = [
     "SCENARIOS",
     "MicroBatch",
     "MicroBatcher",
+    "OpenBatch",
     "CacheStats",
     "LRUEmbeddingCache",
     "ReferenceLRUCache",
@@ -133,7 +138,6 @@ __all__ = [
     "RetryPolicy",
     "RecoveryModel",
     "FaultReport",
-    "ResilientFleet",
     "SwapEvent",
     "AutoscalePolicy",
     "SLOAutoscaler",

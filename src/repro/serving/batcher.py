@@ -19,12 +19,17 @@ is exclusive — a batch opened at ``t`` accepts arrivals in
 deadline starts the next batch (the timer has already fired).  With
 ``max_delay_s=0`` this degrades to no batching at all: every request
 is served as a singleton, even under simultaneous arrivals.
+
+This file is the only place the rule lives.  The fleet engine replays
+a trace in pieces (between fault, swap and window events) by passing
+each replica's :class:`OpenBatch` back in, so the batch still open at
+a boundary keeps filling in the next piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +69,26 @@ class MicroBatch:
         )
 
 
+class OpenBatch:
+    """A batch still accepting requests, carried between resumed
+    :meth:`MicroBatcher.form_batches` calls."""
+
+    __slots__ = ("requests", "deadline")
+
+    def __init__(self) -> None:
+        self.requests: List[Request] = []
+        self.deadline = 0.0
+
+    def close(self, ready_s: Optional[float] = None) -> MicroBatch:
+        """Close the batch at ``ready_s`` (default: its deadline)."""
+        batch = MicroBatch(
+            tuple(self.requests),
+            ready_s=self.deadline if ready_s is None else ready_s,
+        )
+        self.requests = []
+        return batch
+
+
 class MicroBatcher:
     """Groups an arrival-ordered request trace into micro-batches.
 
@@ -88,12 +113,23 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_delay_s = max_delay_s
 
-    def form_batches(self, requests: Sequence[Request]) -> List[MicroBatch]:
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
+    def form_batches(
+        self,
+        requests: Sequence[Request],
+        carry: Optional[OpenBatch] = None,
+    ) -> List[MicroBatch]:
+        """The closed batches of ``requests``.
+
+        Offline (no ``carry``) the trailing batch closes at its
+        deadline.  With a ``carry`` the batcher resumes: arrivals join
+        the carried open batch, and the batch still open at the end is
+        left in ``carry`` for the next call — so batching a trace in
+        pieces closes exactly the batches of batching it whole.
+        """
+        open_batch = carry if carry is not None else OpenBatch()
         batches: List[MicroBatch] = []
-        pending: List[Request] = []
-        deadline = 0.0
-        for req in ordered:
+        pending, deadline = open_batch.requests, open_batch.deadline
+        for req in sorted(requests, key=lambda r: r.arrival_s):
             if pending and req.arrival_s >= deadline:
                 # Deadline fired at or before this arrival:
                 # flush-on-deadline.  The boundary is exclusive — an
@@ -112,6 +148,7 @@ class MicroBatcher:
                     MicroBatch(tuple(pending), ready_s=req.arrival_s)
                 )
                 pending = []
-        if pending:
-            batches.append(MicroBatch(tuple(pending), ready_s=deadline))
+        open_batch.requests, open_batch.deadline = pending, deadline
+        if carry is None and pending:
+            batches.append(open_batch.close())
         return batches

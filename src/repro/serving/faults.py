@@ -22,57 +22,39 @@ first-class, **bit-reproducible** part of the replay:
   reported MTTR decreases monotonically with checkpoint cadence.
   :meth:`RecoveryModel.from_elastic_plan` prices the restore leg with
   the checkpoint plane's elastic-restore migration timing;
-- :class:`ResilientFleet` — the fault-aware replay engine.  It
-  reproduces :class:`~repro.serving.fleet.ServingFleet` semantics
-  (same routers, micro-batching, shared fetch tier, shared
-  :class:`~repro.serving.service.PlacementEngine` pricing) as an
-  incremental event loop, then layers on fault handling: requests
-  routed at a dead-but-undetected replica pay the timeout and retry
-  with backoff; detection flips the router's live mask so traffic is
-  re-routed away (consistent-hash ring rebuild); a fetch outage either
-  stalls miss batches until it lifts or — in degraded mode — serves
-  stale/default rows immediately while pricing the quality hit; and an
-  optional :class:`~repro.serving.autoscale.SLOAutoscaler` watches
-  windowed p99/queue depth and adds (priced warm-start prefill,
-  provisioning delay) or drains replicas.  With no faults and no
-  autoscaler the replay is bit-identical to ``ServingFleet`` for the
-  round-robin and hash routers — the correctness oracle the test suite
-  pins.
+- :class:`SwapEvent` — a planned hot swap of one replica onto a new
+  model version.
 
-The outcome is a :class:`FaultReport`: the usual fleet latency report
-over the requests that were actually served, plus the robustness
-ledger — offered/served/lost/retried/degraded counts, MTTR per crash,
-SLO-violation windows, and the scale path.
+The one fleet replay engine, :class:`~repro.serving.fleet.ServingFleet`,
+takes all of these as constructor arguments and replays them as
+control events: requests routed at a dead-but-undetected replica pay
+the timeout and retry with backoff; detection flips the router's live
+mask so traffic is re-routed away (consistent-hash ring rebuild); a
+fetch outage either stalls miss batches until it lifts or — in
+degraded mode — serves stale/default rows immediately while pricing
+the quality hit; and an optional
+:class:`~repro.serving.autoscale.SLOAutoscaler` watches windowed
+p99/queue depth and adds (priced warm-start prefill, provisioning
+delay) or drains replicas.
+
+The outcome of every fleet replay is a :class:`FaultReport`: the usual
+fleet latency report over the requests that were actually served, plus
+the robustness ledger — offered/served/lost/retried/degraded counts,
+MTTR per crash, SLO-violation windows, and the scale path (all zero
+for a healthy fleet).
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.serving.autoscale import SLOAutoscaler
-from repro.serving.batcher import MicroBatch, MicroBatcher
-from repro.serving.cache import LRUEmbeddingCache, _LRUCacheBase
-from repro.serving.fleet import (
-    FleetReport,
-    Router,
-    _splitmix64,
-    make_router,
-)
-from repro.serving.service import (
-    Placement,
-    PlacementEngine,
-    ServingModel,
-    ServingReport,
-    build_report,
-)
-from repro.serving.workload import Request
-from repro.sim.cluster import SimCluster
-from repro.sim.tracing import Phase
+from repro.serving.workload import _splitmix64
+
+if TYPE_CHECKING:  # the engine in fleet.py imports this module
+    from repro.serving.fleet import FleetReport
 
 #: Fault kinds the scheduler understands.
 FAULT_KINDS = (
@@ -526,790 +508,13 @@ class FaultReport:
         )
 
 
-# ----------------------------------------------------------------------
-class _Slot:
-    """One replica slot's mutable replay state."""
+def __getattr__(name: str) -> Any:
+    # ``ResilientFleet`` was the fault-replay engine before it and the
+    # healthy fleet became one engine.  perfbench/tracer.py still
+    # imports the name from here, so it resolves to that one engine —
+    # lazily, because fleet.py imports this module at load time.
+    if name == "ResilientFleet":
+        from repro.serving.fleet import ServingFleet
 
-    __slots__ = (
-        "idx",
-        "cache",
-        "caches",
-        "state",  # idle | active | dead | hung | drained | swapping
-        "online_at",
-        "detect_at",  # when the router learns the slot is down
-        "hang_until",
-        "pending",  # open batch: list of (req, orig_req, attempt)
-        "deadline",
-        "busy_until",
-        "batches",
-        "reqs",  # requests served here (replica-local arrival times)
-        "lats",  # per-request latency from *original* arrival
-        "phase_ms",
-    )
-
-    def __init__(self, idx: int, cache: _LRUCacheBase, state: str):
-        self.idx = idx
-        self.cache = cache
-        self.caches = [cache]
-        self.state = state
-        self.online_at = 0.0
-        self.detect_at = math.inf
-        self.hang_until = 0.0
-        self.pending: List[Tuple[Request, Request, int]] = []
-        self.deadline = 0.0
-        self.busy_until = 0.0
-        self.batches = 0
-        self.reqs: List[Request] = []
-        self.lats: List[float] = []
-        self.phase_ms: Dict[str, float] = {}
-
-    def accepting(self, now_s: float) -> bool:
-        """Actually able to take a request right now."""
-        return self.state == "active" and now_s >= self.online_at
-
-    def routable(self, now_s: float) -> bool:
-        """What the router believes: down replicas stay routable until
-        the client timeout detects them."""
-        if self.accepting(now_s):
-            return True
-        return self.state in ("dead", "hung") and now_s < self.detect_at
-
-
-class ResilientFleet:
-    """A :class:`~repro.serving.fleet.ServingFleet` that survives
-    faults: seeded fault injection, client retries with backoff,
-    degraded-mode serving, crash recovery, and SLO autoscaling.
-
-    Constructor mirrors ``ServingFleet`` (same router / cache / engine
-    injection, so the tiered engine composes unchanged) plus the
-    robustness layers; any of ``faults`` / ``retry`` / ``recovery`` /
-    ``autoscaler`` may be omitted.  With all of them omitted the replay
-    is bit-identical to ``ServingFleet.serve`` for the round-robin and
-    hash routers.
-    """
-
-    def __init__(
-        self,
-        sim: SimCluster,
-        model: ServingModel,
-        placement: Placement,
-        batcher: MicroBatcher,
-        router: "Router | str" = "round_robin",
-        num_replicas: Optional[int] = None,
-        cache_rows: int = 0,
-        cache_factory: Optional[Callable[[], _LRUCacheBase]] = None,
-        router_seed: int = 0,
-        engine: Optional[PlacementEngine] = None,
-        faults: Optional[FaultConfig] = None,
-        retry: Optional[RetryPolicy] = None,
-        recovery: Optional[RecoveryModel] = None,
-        autoscaler: Optional[SLOAutoscaler] = None,
-        degraded_mode: bool = True,
-        stale_penalty: float = 0.05,
-        swaps: Optional[Sequence[SwapEvent]] = None,
-    ):
-        self.engine = (
-            engine
-            if engine is not None
-            else PlacementEngine(sim, model, placement)
-        )
-        self.num_replicas = (
-            num_replicas
-            if num_replicas is not None
-            else self.engine.num_dense_hosts
-        )
-        if self.num_replicas < 1:
-            raise ValueError(
-                f"num_replicas must be >= 1, got {self.num_replicas}"
-            )
-        if stale_penalty < 0:
-            raise ValueError(
-                f"stale_penalty must be >= 0, got {stale_penalty}"
-            )
-        self.sim = sim
-        self.model = model
-        self.placement = placement
-        self.batcher = batcher
-        self.faults = faults if faults is not None else FaultConfig()
-        self.swaps: Tuple[SwapEvent, ...] = tuple(swaps) if swaps else ()
-        for swap in self.swaps:
-            if swap.replica >= self.num_replicas:
-                raise ValueError(
-                    f"swap targets replica {swap.replica}, fleet has "
-                    f"{self.num_replicas}"
-                )
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.recovery = recovery
-        self.autoscaler = autoscaler
-        self.degraded_mode = degraded_mode
-        self.stale_penalty = stale_penalty
-        # Replica slots: the initial fleet plus headroom the autoscaler
-        # may grow into.  The router binds over the full capacity with
-        # only the initial replicas live, so scale-up is a membership
-        # change, not a rebind.
-        self.capacity = self.num_replicas
-        if autoscaler is not None:
-            self.capacity = max(
-                self.capacity, autoscaler.policy.max_replicas
-            )
-            if autoscaler.policy.min_replicas > self.num_replicas:
-                raise ValueError(
-                    f"initial fleet ({self.num_replicas} replicas) is "
-                    f"below the autoscaler floor "
-                    f"({autoscaler.policy.min_replicas})"
-                )
-        self._cache_factory = cache_factory or (
-            lambda: LRUEmbeddingCache(cache_rows)
-        )
-        self.caches: List[_LRUCacheBase] = [
-            self._cache_factory() for _ in range(self.capacity)
-        ]
-        self.router = (
-            router
-            if isinstance(router, Router)
-            else make_router(router, seed=router_seed)
-        )
-
-    # ------------------------------------------------------------------
-    def warm_start_from_checkpoint(
-        self, path: str, max_rows: Optional[int] = None
-    ) -> int:
-        """Prefill the *initial* replicas' caches from a checkpoint's
-        hottest rows (scale-up slots stay cold on purpose — their
-        warm-start is the autoscaler's priced prefill)."""
-        initial = self.caches[: self.num_replicas]
-        limit = max(cache.capacity_rows for cache in initial)
-        if max_rows is not None:
-            limit = min(limit, max_rows)
-        if limit <= 0:
-            return 0
-        from repro.checkpoint.state import hottest_rows
-
-        rows = hottest_rows(path, limit)
-        return sum(cache.prefill(rows) for cache in initial)
-
-    # ------------------------------------------------------------------
-    # Replay internals
-    # ------------------------------------------------------------------
-    def _accepting_count(self, now_s: float) -> int:
-        return sum(1 for s in self._slots if s.accepting(now_s))
-
-    def _host_share(self, now_s: float) -> float:
-        """Survivors inherit the dense GPUs of dead replicas — the
-        share is over replicas actually serving right now."""
-        live = max(1, self._accepting_count(now_s))
-        return min(1.0, self.engine.num_dense_hosts / live)
-
-    def _update_membership(self, now_s: float) -> None:
-        mask = np.zeros(self.capacity, dtype=bool)
-        for slot in self._slots:
-            mask[slot.idx] = slot.routable(now_s)
-        # If every replica is down the router keeps its stale view —
-        # clients keep timing out (and retrying) against it, which is
-        # exactly what a real front-end does during a total outage.
-        if mask.any():
-            self.router.set_live(mask)
-
-    def _push(self, t: float, kind: str, payload: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-
-    def _fetch_scale_at(self, t: float) -> float:
-        scale = 1.0
-        for lo, hi, factor in self._degrade_windows:
-            if lo <= t < hi:
-                scale *= factor
-        return scale
-
-    def _outage_end_at(self, t: float) -> Optional[float]:
-        end = None
-        for lo, hi in self._outage_windows:
-            if lo <= t < hi:
-                end = hi if end is None else max(end, hi)
-        return end
-
-    def _window_index(self, t: float) -> int:
-        if self._win_s <= 0:
-            return 0
-        return int((t - self._t0) / self._win_s)
-
-    # ------------------------------------------------------------------
-    def _schedule_retry(
-        self, orig: Request, attempt: int, now_s: float
-    ) -> None:
-        """The client's attempt just failed (timeout / crash): back off
-        and re-route, or declare the request lost."""
-        self._timeouts += 1
-        next_attempt = attempt + 1
-        if next_attempt > self.retry.max_retries or self._budget_left <= 0:
-            self._lost += 1
-            return
-        self._budget_left -= 1
-        self._retries += 1
-        self._retried_ids.add(orig.req_id)
-        delay = self.retry.timeout_s + self.retry.backoff_s(
-            orig.req_id, next_attempt
-        )
-        retry_req = Request(orig.req_id, now_s + delay, orig.keys)
-        self._push(
-            retry_req.arrival_s,
-            "arrival",
-            (retry_req, orig, next_attempt),
-        )
-
-    def _flush_deadlines(self, now_s: float) -> None:
-        due = sorted(
-            (slot.deadline, slot.idx)
-            for slot in self._slots
-            if slot.pending and slot.deadline <= now_s
-        )
-        for deadline, idx in due:
-            self._flush_slot(idx, deadline)
-
-    def _flush_slot(self, idx: int, ready_s: float) -> None:
-        """Close and price one replica's open batch (the inline
-        equivalent of MicroBatcher flush + ServingFleet pricing)."""
-        slot = self._slots[idx]
-        entries = slot.pending
-        slot.pending = []
-        batch = MicroBatch(
-            tuple(req for req, _, _ in entries), ready_s=ready_s
-        )
-        start = max(ready_s, slot.busy_until)
-        hits, miss_keys = slot.cache.probe(batch.keys)
-        extra = self.engine.chain_extra_seconds(slot.cache)
-        misses = len(miss_keys)
-        degraded = False
-        if misses:
-            outage_end = self._outage_end_at(start)
-            if outage_end is not None:
-                if self.degraded_mode:
-                    # Serve stale/default rows now, price the quality
-                    # hit; the miss rows cost a local read, not a fetch.
-                    degraded = True
-                else:
-                    start = outage_end  # stall until the tier returns
-        hits_eff, miss_eff = (
-            (hits + misses, 0) if degraded else (hits, misses)
-        )
-        done, t_fetch, t_compute, t_queue = self.engine.price_batch(
-            batch,
-            start,
-            self._fetch_free,
-            hits_eff,
-            miss_eff,
-            host_share=self._host_share(ready_s),
-            label_suffix=f"/replica{idx}",
-            extra_compute_s=extra,
-            fetch_scale=self._fetch_scale_at(start),
-        )
-        mine = slot.phase_ms
-        if miss_eff:
-            mine["embedding_comm"] = (
-                mine.get("embedding_comm", 0.0) + t_fetch * 1e3
-            )
-        mine["compute"] = mine.get("compute", 0.0) + t_compute * 1e3
-        mine["queue"] = mine.get("queue", 0.0) + t_queue * 1e3
-        slot.busy_until = done
-        slot.batches += 1
-        self._num_batches += 1
-        if degraded:
-            self._degraded += batch.size
-            self._degraded_rows += misses
-        win = self._window_index(done)
-        for req, orig, _ in entries:
-            lat = done - orig.arrival_s
-            slot.reqs.append(req)
-            slot.lats.append(lat)
-            self._served.append(orig)
-            self._done_times.append(done)
-            self._win_lat.setdefault(win, []).append(lat * 1e3)
-
-    # ------------------------------------------------------------------
-    def _on_arrival(
-        self, t: float, req: Request, orig: Request, attempt: int
-    ) -> None:
-        depths = np.asarray(
-            [float(len(slot.pending)) for slot in self._slots]
-        )
-        rep = self.router.route_one(req, t, depths)
-        slot = self._slots[rep]
-        if not slot.accepting(t):
-            # Routed at a down-but-undetected replica: the client eats
-            # the timeout, backs off, and re-routes.
-            self._schedule_retry(orig, attempt, t)
-            return
-        if not slot.pending:
-            slot.deadline = t + self.batcher.max_delay_s
-        slot.pending.append((req, orig, attempt))
-        if len(slot.pending) == self.batcher.max_batch_size:
-            self._flush_slot(rep, t)
-
-    def _fail_open_batch(self, slot: _Slot, t: float) -> None:
-        entries = slot.pending
-        slot.pending = []
-        for _, orig, attempt in entries:
-            self._schedule_retry(orig, attempt, t)
-
-    def _on_fault(self, t: float, event: FaultEvent) -> None:
-        record = dict(event.to_dict())
-        record["at_s"] = t  # absolute time in the trace frame
-        if event.kind == "replica_crash":
-            slot = self._slots[event.replica % self.num_replicas]
-            record["replica"] = slot.idx
-            record["applied"] = slot.state == "active"
-            self._timeline_log.append(record)
-            if slot.state != "active":
-                return  # already dead/drained: nothing left to kill
-            slot.state = "dead"
-            slot.detect_at = t + self.retry.timeout_s
-            self._push(slot.detect_at, "membership", None)
-            self._fail_open_batch(slot, t)
-            crash: Dict[str, Any] = {
-                "at_s": t,
-                "replica": slot.idx,
-                "detected_s": slot.detect_at,
-                "mttr_s": None,
-                "online_s": None,
-            }
-            if self.recovery is not None:
-                mttr = self.recovery.mttr_s()
-                crash["mttr_s"] = mttr
-                crash["online_s"] = t + mttr
-                self._push(
-                    t + mttr,
-                    "online",
-                    (slot.idx, self.recovery.warm_rows, True, None),
-                )
-            self._crashes.append(crash)
-        elif event.kind == "replica_hang":
-            slot = self._slots[event.replica % self.num_replicas]
-            record["replica"] = slot.idx
-            record["applied"] = slot.state == "active"
-            self._timeline_log.append(record)
-            if slot.state != "active":
-                return
-            slot.state = "hung"
-            slot.hang_until = t + event.duration_s
-            slot.detect_at = min(t + self.retry.timeout_s, slot.hang_until)
-            self._push(slot.detect_at, "membership", None)
-            self._push(slot.hang_until, "hang_end", slot.idx)
-            self._fail_open_batch(slot, t)
-        elif event.kind == "fetch_degrade":
-            record["applied"] = True
-            self._timeline_log.append(record)
-            self._degrade_windows.append(
-                (t, t + event.duration_s, event.factor)
-            )
-        else:  # fetch_outage
-            record["applied"] = True
-            self._timeline_log.append(record)
-            self._outage_windows.append((t, t + event.duration_s))
-
-    def _on_online(
-        self,
-        t: float,
-        idx: int,
-        warm_rows: Any,
-        fresh_cache: bool,
-        scale_event: Optional[Dict[str, Any]],
-    ) -> None:
-        slot = self._slots[idx]
-        if slot.state == "drained":
-            return  # drained while provisioning: stay down
-        if fresh_cache:
-            cache = self._cache_factory()
-            slot.cache = cache
-            slot.caches.append(cache)
-        slot.state = "active"
-        slot.online_at = t
-        slot.detect_at = math.inf
-        prefill_s = 0.0
-        # ``warm_rows`` is a count (hottest-first, crash recovery and
-        # autoscale) or an explicit id array (a delta's touched rows).
-        if isinstance(warm_rows, np.ndarray):
-            rows_arr = np.asarray(warm_rows, dtype=np.int64)[
-                : slot.cache.capacity_rows
-            ]
-        else:
-            rows_arr = np.arange(
-                min(int(warm_rows), slot.cache.capacity_rows),
-                dtype=np.int64,
-            )
-        if rows_arr.size > 0:
-            # Warm-start prefill: pull the rows over the fetch tier
-            # before taking traffic — priced, so coming online is
-            # never free.
-            slot.cache.prefill(rows_arr)
-            server = int(np.argmin(self._fetch_free))
-            fetch_start = max(t, float(self._fetch_free[server]))
-            prefill_s, nbytes, world = self.engine.fetch_timing(
-                int(rows_arr.size)
-            )
-            self._fetch_free[server] = fetch_start + prefill_s
-            self.sim.timeline.add(
-                Phase.EMBEDDING_COMM,
-                f"warm-prefill/replica{idx}",
-                prefill_s,
-                nbytes=nbytes,
-                world_size=world,
-            )
-            slot.busy_until = max(
-                slot.busy_until, fetch_start + prefill_s
-            )
-        if scale_event is not None:
-            scale_event["online_s"] = t
-            scale_event["prefill_s"] = prefill_s
-        self._update_membership(t)
-
-    def _on_swap(self, t: float, swap: SwapEvent) -> None:
-        """Planned rollout step: drain, restart on the new version,
-        warm the cache, rejoin — all priced, none of it a fault."""
-        slot = self._slots[swap.replica]
-        record = dict(swap.to_dict())
-        record["at_s"] = t  # absolute time in the trace frame
-        record["applied"] = slot.state == "active"
-        record["online_s"] = None
-        record["prefill_s"] = 0.0
-        self._swap_log.append(record)
-        if slot.state != "active":
-            return  # dead/hung/drained: the rollout skips this replica
-        if swap.swap_s > 0:
-            if slot.pending:
-                # Graceful drain: the open batch is served, not failed.
-                self._flush_slot(slot.idx, t)
-            slot.state = "swapping"
-            self._update_membership(t)
-            self._push(
-                t + swap.swap_s,
-                "online",
-                (slot.idx, swap.warm_rows, swap.fresh_cache, record),
-            )
-        else:
-            # Zero-downtime swap: the replica never leaves the router.
-            self._on_online(
-                t, slot.idx, swap.warm_rows, swap.fresh_cache, record
-            )
-
-    def _on_window(self, t: float, k: int) -> None:
-        lats = self._win_lat.get(k - 1, [])
-        p99 = float(np.percentile(np.asarray(lats), 99)) if lats else None
-        done_arr = np.asarray(self._done_times)
-        completed = (
-            int(np.count_nonzero(done_arr <= t)) if done_arr.size else 0
-        )
-        queued = sum(len(slot.pending) for slot in self._slots)
-        inflight = len(self._done_times) - completed + queued
-        accepting = self._accepting_count(t)
-        depth = inflight / max(1, accepting)
-        policy = self.autoscaler.policy if self.autoscaler else None
-        violated = bool(
-            policy is not None
-            and p99 is not None
-            and p99 > policy.slo_p99_ms
-        )
-        self._windows.append(
-            {
-                "t0": self._t0 + (k - 1) * self._win_s,
-                "t1": self._t0 + k * self._win_s,
-                "p99_ms": p99,
-                "queue_depth": depth,
-                "replicas": accepting,
-                "violated": violated,
-            }
-        )
-        if self.autoscaler is None:
-            return
-        current = sum(
-            1
-            for slot in self._slots
-            if slot.state in ("active", "hung", "swapping")
-        )
-        target = self.autoscaler.decide(p99, depth, current)
-        if target > current:
-            added = 0
-            evt = {
-                "at_s": t,
-                "action": "scale_up",
-                "from_replicas": current,
-                "to_replicas": current,
-                "online_s": None,
-                "prefill_s": 0.0,
-            }
-            for slot in self._slots:
-                if added >= target - current:
-                    break
-                if slot.state != "idle":
-                    continue
-                slot.state = "active"
-                slot.online_at = t + policy.provision_s
-                self._push(
-                    slot.online_at,
-                    "online",
-                    (slot.idx, policy.warm_rows, False, evt),
-                )
-                added += 1
-            if added:
-                evt["to_replicas"] = current + added
-                self._scale_events.append(evt)
-        elif target < current:
-            victims = sorted(
-                (slot for slot in self._slots if slot.accepting(t)),
-                key=lambda s: (len(s.pending), -s.idx),
-            )[: current - target]
-            for slot in victims:
-                if slot.pending:
-                    self._flush_slot(slot.idx, t)
-                slot.state = "drained"
-            if victims:
-                self._scale_events.append(
-                    {
-                        "at_s": t,
-                        "action": "drain",
-                        "from_replicas": current,
-                        "to_replicas": current - len(victims),
-                        "replicas_drained": [s.idx for s in victims],
-                    }
-                )
-                self._update_membership(t)
-
-    # ------------------------------------------------------------------
-    def serve(self, requests: Sequence[Request]) -> FaultReport:
-        """Replay the trace under the configured faults; returns the
-        fault report (its ``fleet`` field is the usual fleet report
-        over the served requests)."""
-        if not requests:
-            raise ValueError("cannot serve an empty request trace")
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
-        self._t0 = ordered[0].arrival_s
-        span = ordered[-1].arrival_s - self._t0
-
-        self.router.bind(self.capacity)
-        self._slots = [
-            _Slot(
-                i,
-                self.caches[i],
-                "active" if i < self.num_replicas else "idle",
-            )
-            for i in range(self.capacity)
-        ]
-        stats_before = [cache.stats for cache in self.caches]
-        self.router.set_live(
-            np.arange(self.capacity) < self.num_replicas
-        )
-        if self.autoscaler is not None:
-            self.autoscaler.reset()
-
-        self._heap: List[Tuple[float, int, str, Any]] = []
-        self._seq = 0
-        self._fetch_free = np.zeros(self.engine.num_fetch_servers)
-        self._degrade_windows: List[Tuple[float, float, float]] = []
-        self._outage_windows: List[Tuple[float, float]] = []
-        self._served: List[Request] = []
-        self._done_times: List[float] = []
-        self._win_lat: Dict[int, List[float]] = {}
-        self._windows: List[Dict[str, Any]] = []
-        self._scale_events: List[Dict[str, Any]] = []
-        self._crashes: List[Dict[str, Any]] = []
-        self._timeline_log: List[Dict[str, Any]] = []
-        self._swap_log: List[Dict[str, Any]] = []
-        self._num_batches = 0
-        self._lost = 0
-        self._retries = 0
-        self._timeouts = 0
-        self._degraded = 0
-        self._degraded_rows = 0
-        self._retried_ids: set = set()
-        self._budget_left = int(
-            math.ceil(self.retry.retry_budget * len(ordered))
-        )
-
-        # Observation windows (autoscaler cadence; also the SLO report
-        # granularity when no autoscaler is attached).
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.policy.window_s > 0
-        ):
-            self._win_s = self.autoscaler.policy.window_s
-        else:
-            self._win_s = span / 20.0 if span > 0 else 0.0
-
-        # Pre-seed the event heap: faults first, then planned swaps,
-        # then window boundaries, then arrivals — a deterministic tie
-        # order.
-        for event in self.faults.schedule(span, self.num_replicas):
-            self._push(self._t0 + event.at_s, "fault", event)
-        for swap in self.swaps:
-            self._push(self._t0 + swap.at_s, "swap", swap)
-        if self._win_s > 0:
-            num_windows = int(math.ceil(span / self._win_s))
-            for k in range(1, num_windows + 1):
-                self._push(self._t0 + k * self._win_s, "window", k)
-        for req in ordered:
-            self._push(req.arrival_s, "arrival", (req, req, 0))
-
-        timeline = self.sim.timeline
-        events_before = len(timeline.events)
-        while self._heap:
-            t, _, kind, payload = heapq.heappop(self._heap)
-            self._flush_deadlines(t)
-            if kind == "arrival":
-                req, orig, attempt = payload
-                self._on_arrival(t, req, orig, attempt)
-            elif kind == "fault":
-                self._on_fault(t, payload)
-            elif kind == "membership":
-                self._update_membership(t)
-            elif kind == "hang_end":
-                slot = self._slots[payload]
-                if slot.state == "hung":
-                    slot.state = "active"
-                    slot.detect_at = math.inf
-                    self._update_membership(t)
-            elif kind == "swap":
-                self._on_swap(t, payload)
-            elif kind == "online":
-                idx, warm_rows, fresh_cache, scale_event = payload
-                self._on_online(t, idx, warm_rows, fresh_cache, scale_event)
-            else:  # window
-                self._on_window(t, payload)
-        self._flush_deadlines(math.inf)
-
-        return self._build_report(
-            ordered, stats_before, timeline, events_before
-        )
-
-    # ------------------------------------------------------------------
-    def _build_report(
-        self,
-        ordered: Sequence[Request],
-        stats_before: List[Any],
-        timeline: Any,
-        events_before: int,
-    ) -> FaultReport:
-        strategy = self.placement.strategy
-        served_sorted = sorted(self._served, key=lambda r: r.arrival_s)
-        last_done = max(
-            (slot.busy_until for slot in self._slots), default=0.0
-        )
-        replica_reports: Dict[int, ServingReport] = {}
-        all_lats: List[np.ndarray] = []
-        total_hits = 0
-        total_misses = 0
-        for slot in self._slots:
-            hits = sum(c.stats.hits for c in slot.caches)
-            misses = sum(c.stats.misses for c in slot.caches)
-            hits -= stats_before[slot.idx].hits
-            misses -= stats_before[slot.idx].misses
-            total_hits += hits
-            total_misses += misses
-            if slot.lats:
-                all_lats.append(np.asarray(slot.lats))
-            if not slot.reqs:
-                continue
-            replica_reports[slot.idx] = build_report(
-                placement=strategy,
-                model=self.model.name,
-                requests=slot.reqs,
-                num_batches=slot.batches,
-                latencies_s=np.asarray(slot.lats),
-                last_done_s=slot.busy_until,
-                hits=hits,
-                misses=misses,
-                breakdown_ms=slot.phase_ms,
-            )
-        breakdown: Dict[str, float] = {}
-        for event in timeline.events[events_before:]:
-            breakdown[event.phase.value] = (
-                breakdown.get(event.phase.value, 0.0) + event.seconds * 1e3
-            )
-        fleet_serving = build_report(
-            placement=strategy,
-            model=self.model.name,
-            requests=served_sorted,
-            num_batches=self._num_batches,
-            latencies_s=(
-                np.concatenate(all_lats)
-                if all_lats
-                else np.asarray([])
-            ),
-            last_done_s=last_done,
-            hits=total_hits,
-            misses=total_misses,
-            breakdown_ms=breakdown,
-        )
-        fleet = FleetReport(
-            router=self.router.name,
-            num_replicas=self.capacity,
-            fleet=fleet_serving,
-            replicas=replica_reports,
-            requests_per_replica=[
-                len(slot.reqs) for slot in self._slots
-            ],
-        )
-        # Tail completions past the last scheduled boundary still count
-        # toward the SLO story.
-        recorded = len(self._windows)
-        if self._win_s > 0 and self._win_lat:
-            policy = self.autoscaler.policy if self.autoscaler else None
-            for k in sorted(self._win_lat):
-                if k < recorded:
-                    continue
-                lats = self._win_lat[k]
-                p99 = float(np.percentile(np.asarray(lats), 99))
-                self._windows.append(
-                    {
-                        "t0": self._t0 + k * self._win_s,
-                        "t1": self._t0 + (k + 1) * self._win_s,
-                        "p99_ms": p99,
-                        "queue_depth": 0.0,
-                        "replicas": self._accepting_count(math.inf),
-                        "violated": bool(
-                            policy is not None
-                            and p99 > policy.slo_p99_ms
-                        ),
-                    }
-                )
-        traffic_windows = [
-            w for w in self._windows if w["p99_ms"] is not None
-        ]
-        violation_fraction = (
-            sum(1 for w in traffic_windows if w["violated"])
-            / len(traffic_windows)
-            if traffic_windows
-            else 0.0
-        )
-        recovered = [
-            c["mttr_s"] for c in self._crashes if c["mttr_s"] is not None
-        ]
-        num_served = len(self._served)
-        return FaultReport(
-            fleet=fleet,
-            num_offered=len(ordered),
-            num_served=num_served,
-            num_lost=self._lost,
-            num_retried=len(self._retried_ids),
-            num_retries=self._retries,
-            num_timeouts=self._timeouts,
-            num_degraded=self._degraded,
-            degraded_rows=self._degraded_rows,
-            quality_cost=(
-                self.stale_penalty * self._degraded / num_served
-                if num_served
-                else 0.0
-            ),
-            slo_p99_ms=(
-                self.autoscaler.policy.slo_p99_ms
-                if self.autoscaler is not None
-                else 0.0
-            ),
-            slo_violation_fraction=violation_fraction,
-            mttr_s=(
-                float(np.mean(recovered)) if recovered else 0.0
-            ),
-            windows=self._windows,
-            scale_events=self._scale_events,
-            crashes=self._crashes,
-            fault_timeline=self._timeline_log,
-            swaps=self._swap_log,
-        )
+        return ServingFleet
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""Multi-replica serving: a routed fleet priced on one shared cluster.
+"""Multi-replica serving: the one fleet replay engine.
 
 The single :class:`~repro.serving.service.InferenceService` answers the
 placement question for one replica pool with a shared cache.  A real
@@ -13,30 +13,58 @@ cache learns which keys, and how evenly bursts spread:
 - **hash** — consistent hashing on the request's primary key
   (``keys[0]``), so traffic for the same entity lands on the same
   replica and the fleet's caches partition the hot set between them;
-- **p2c** — power-of-two-choices on instantaneous queue depth (the
-  number of requests still inside their batching window): near-optimal
+- **p2c** — power-of-two-choices on recent load (requests the router
+  sent each replica within the last batching window): near-optimal
   burst spreading with only two probes per request.
 
-Every replica's batches are priced through the shared
+:class:`ServingFleet` is the only fleet replay engine.  It walks the
+*control* events of a replay one at a time — faults, planned swaps,
+observation windows, membership changes, replicas coming online, hangs
+ending — and replays every event-free stretch between two of them
+vectorized: all arrivals of the stretch (originals plus due retries)
+go through one :meth:`Router.route_trace` call at fixed membership,
+each replica's share is batched by the resumable
+:meth:`~repro.serving.batcher.MicroBatcher.form_batches` (the batch
+still open at the boundary carries over), and the closed batches are
+priced in ready order through the shared
 :class:`~repro.serving.service.PlacementEngine` on one
-:class:`~repro.sim.SimCluster` — the fetch tier (global fabric when
-colocated, the embedding hosts when disaggregated) is a fleet-wide
-shared resource, which is exactly what makes the placement comparison
-interesting under load.  :meth:`ServingFleet.serve` returns a
-:class:`FleetReport`: one aggregate :class:`ServingReport` plus one per
-replica that served traffic.
+:class:`~repro.sim.SimCluster`.  A healthy fleet is the same engine
+with no fault events; faults, retries, recovery, autoscaling and hot
+swaps (:mod:`repro.serving.faults`, :mod:`repro.serving.autoscale`)
+are constructor arguments, not separate code paths.
+
+Tie order, fixed so a replay is bit-reproducible: a stretch takes the
+arrivals with ``t < T`` where ``T`` is the next control event; open
+batches whose deadline is ``<= T`` close before the event at ``T``;
+closed batches are priced by ``(ready_s, deadline flush before full
+flush, replica)``.  A retry fires at ``now + timeout + backoff``, so a
+stretch is routed in pieces no longer than the client timeout and
+every retry lands in a later piece — routing is independent of where
+a trace is split, so the pieces route exactly as the whole would.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.batcher import MicroBatcher
+from repro.serving.autoscale import SLOAutoscaler
+from repro.serving.batcher import MicroBatch, MicroBatcher, OpenBatch
 from repro.serving.cache import LRUEmbeddingCache, _LRUCacheBase
+from repro.serving.faults import (
+    FaultConfig,
+    FaultEvent,
+    FaultReport,
+    RecoveryModel,
+    RetryPolicy,
+    SwapEvent,
+)
 from repro.serving.service import (
     Placement,
     PlacementEngine,
@@ -44,39 +72,25 @@ from repro.serving.service import (
     ServingReport,
     build_report,
 )
-from repro.serving.workload import Request
+from repro.serving.workload import Request, _splitmix64
 from repro.sim.cluster import SimCluster
+from repro.sim.tracing import Phase
 
 #: Router policies the fleet understands.
 ROUTER_POLICIES = ("round_robin", "hash", "p2c")
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer: a stable, seed-independent
-    integer hash (Python's ``hash`` is identity on ints — useless for
-    ring placement)."""
-    x = np.asarray(x).astype(np.uint64)
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 class Router:
     """Assigns every request of a trace to a replica.
-
-    Stateful policies re-seed in :meth:`bind`, so routing the same
-    trace twice gives the same assignment — fleet runs stay
-    bit-reproducible.
 
     Routers carry a **live-membership mask** so dead or drained
     replicas are never routed to: :meth:`set_live` flips membership
     (the consistent-hash ring rebuilds over the surviving vnodes, the
-    other policies filter to live replicas), and :meth:`route_one`
-    routes a single request incrementally — the entry point the
-    fault-injecting replay uses between membership changes.  With every
-    replica live, all policies route bit-identically to the
-    pre-membership implementation.
+    other policies filter to live replicas).  Stateful policies reset
+    in :meth:`bind` and carry their state across calls, so at fixed
+    membership routing a trace in one :meth:`route_trace` call or split
+    across several gives the same assignment — the fleet engine routes
+    each event-free stretch of a replay in one call and relies on it.
     """
 
     name = "base"
@@ -126,29 +140,22 @@ class Router:
         self, requests: Sequence[Request], window_s: float
     ) -> np.ndarray:
         """Replica index per request (requests are in arrival order);
-        ``window_s`` is the batching window used for queue-depth
-        estimates."""
+        ``window_s`` is the batching window load-aware policies count
+        recent traffic over."""
         raise NotImplementedError
 
-    def route_one(
-        self,
-        req: Request,
-        now_s: float,
-        depths: Optional[np.ndarray] = None,
-    ) -> int:
-        """Route one request at ``now_s`` among the live replicas.
-
-        ``depths`` (length ``num_replicas``) carries instantaneous
-        queue depths for load-aware policies; dead entries are ignored
-        via the live mask.
-        """
-        raise NotImplementedError
+    def route_one(self, req: Request, window_s: float = 0.0) -> int:
+        """Route a single request: a one-request :meth:`route_trace`."""
+        return int(self.route_trace([req], window_s)[0])
 
 
 class RoundRobinRouter(Router):
     """Cycle through replicas in request order (live replicas only)."""
 
     name = "round_robin"
+    # Bound on this class too: perfbench's tracer test reads the
+    # attribute off ``RoundRobinRouter.__dict__``.
+    route_one = Router.route_one
 
     def _reset(self) -> None:
         self._cursor = 0
@@ -162,17 +169,6 @@ class RoundRobinRouter(Router):
             (self._cursor + len(requests)) % len(live)
         )
         return live[positions]
-
-    def route_one(
-        self,
-        req: Request,
-        now_s: float,
-        depths: Optional[np.ndarray] = None,
-    ) -> int:
-        live = self.live_replicas
-        rep = int(live[self._cursor % len(live)])
-        self._cursor = (self._cursor + 1) % len(live)
-        return rep
 
 
 class ConsistentHashRouter(Router):
@@ -219,11 +215,6 @@ class ConsistentHashRouter(Router):
         self._ring_points = self._all_points[keep]
         self._ring_replicas = self._all_replicas[keep]
 
-    def _lookup(self, hashed: np.ndarray) -> np.ndarray:
-        slots = np.searchsorted(self._ring_points, hashed)
-        slots[slots == len(self._ring_points)] = 0  # wrap around the ring
-        return self._ring_replicas[slots]
-
     def route_trace(
         self, requests: Sequence[Request], window_s: float
     ) -> np.ndarray:
@@ -232,27 +223,24 @@ class ConsistentHashRouter(Router):
             dtype=np.int64,
             count=len(requests),
         )
-        return self._lookup(_splitmix64(primary))
-
-    def route_one(
-        self,
-        req: Request,
-        now_s: float,
-        depths: Optional[np.ndarray] = None,
-    ) -> int:
-        hashed = _splitmix64(np.asarray([req.keys[0]], dtype=np.int64))
-        return int(self._lookup(hashed)[0])
+        slots = np.searchsorted(self._ring_points, _splitmix64(primary))
+        slots[slots == len(self._ring_points)] = 0  # wrap around the ring
+        return self._ring_replicas[slots]
 
 
 class PowerOfTwoChoicesRouter(Router):
-    """Power-of-two-choices on queue depth.
+    """Power-of-two-choices on recent load.
 
-    For each request, sample two distinct replicas (seeded, so the
-    trace routes identically every run) and pick the one with fewer
-    requests still inside their batching window — the classic
-    load-balancing result: two choices remove almost all of random
-    routing's queue imbalance.  With a zero batching window every depth
-    reads 0 and the policy degrades to seeded random routing.
+    Request number ``i`` (counted from :meth:`bind`) probes two
+    distinct live replicas drawn from a counter-based hash — splitmix64
+    of the seed and ``i`` — and goes to the one the router sent fewer
+    requests within the last batching window (ties go to the first
+    draw): the classic load-balancing result, two choices remove almost
+    all of random routing's imbalance.  The draws and the per-replica
+    send log carry across calls and reset in :meth:`bind`, so where a
+    trace is split cannot change its routing.  With a zero batching
+    window every count reads 0 and the policy degrades to seeded random
+    routing.
     """
 
     name = "p2c"
@@ -261,49 +249,38 @@ class PowerOfTwoChoicesRouter(Router):
         self.seed = seed
 
     def _reset(self) -> None:
-        # Incremental stream for route_one; route_trace re-seeds its
-        # own generator per call (the original whole-trace semantics).
-        self._rng = np.random.default_rng(self.seed)
+        self._routed = 0
+        self._sent: List[Deque[float]] = [
+            deque() for _ in range(self.num_replicas)
+        ]
 
     def route_trace(
         self, requests: Sequence[Request], window_s: float
     ) -> np.ndarray:
         live = self.live_replicas
         n, num = len(requests), len(live)
-        if num == 1:
-            return np.full(n, int(live[0]), dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
-        first = rng.integers(0, num, size=n)
-        second = (first + 1 + rng.integers(0, num - 1, size=n)) % num
+        counter = np.arange(self._routed, self._routed + n, dtype=np.uint64)
+        self._routed += n
+        draws = _splitmix64(counter + _splitmix64([self.seed])[0])
+        first = draws % np.uint64(num)
+        second = first
+        if num > 1:
+            offset = (draws >> np.uint64(32)) % np.uint64(num - 1)
+            second = (first + np.uint64(1) + offset) % np.uint64(num)
+        firsts = live[first.astype(np.int64)].tolist()
+        seconds = live[second.astype(np.int64)].tolist()
         assignment = np.empty(n, dtype=np.int64)
-        windows: List[deque] = [deque() for _ in range(num)]
+        sent = self._sent
         for i, req in enumerate(requests):
             now = req.arrival_s
-            a, b = int(first[i]), int(second[i])
-            for q in (windows[a], windows[b]):
+            a, b = firsts[i], seconds[i]
+            for q in (sent[a], sent[b]):
                 while q and q[0] <= now - window_s:
                     q.popleft()
-            chosen = a if len(windows[a]) <= len(windows[b]) else b
-            windows[chosen].append(now)
-            assignment[i] = int(live[chosen])
+            chosen = a if len(sent[a]) <= len(sent[b]) else b
+            sent[chosen].append(now)
+            assignment[i] = chosen
         return assignment
-
-    def route_one(
-        self,
-        req: Request,
-        now_s: float,
-        depths: Optional[np.ndarray] = None,
-    ) -> int:
-        live = self.live_replicas
-        num = len(live)
-        if num == 1:
-            return int(live[0])
-        a_pos = int(self._rng.integers(0, num))
-        b_pos = int((a_pos + 1 + self._rng.integers(0, num - 1)) % num)
-        a, b = int(live[a_pos]), int(live[b_pos])
-        if depths is None:
-            return a
-        return a if depths[a] <= depths[b] else b
 
 
 def make_router(policy: str, seed: int = 0) -> Router:
@@ -335,8 +312,11 @@ class FleetReport:
     @property
     def load_imbalance(self) -> float:
         """Max over mean requests per replica (1.0 = perfectly even,
-        counting idle replicas)."""
+        counting idle replicas; 0.0 when nothing was served, the
+        all-zero convention of :meth:`ServingReport.empty`)."""
         counts = np.asarray(self.requests_per_replica, dtype=np.float64)
+        if not counts.any():
+            return 0.0
         return float(counts.max() / counts.mean())
 
     def to_dict(self) -> Dict[str, Any]:
@@ -353,16 +333,76 @@ class FleetReport:
         }
 
 
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class _Retry(Request):
+    """A re-sent attempt of ``origin``: its latency counts from the
+    origin's arrival."""
+
+    origin: Request
+    attempt: int
+
+
+class _Slot:
+    """One replica slot's mutable replay state."""
+
+    __slots__ = (
+        "idx",
+        "cache",
+        "caches",
+        # idle | provisioning | active | dead | hung | drained | swapping
+        "state",
+        "detect_at",  # when the router learns the slot is down
+        "open",  # the batch still filling (an OpenBatch)
+        "busy_until",
+        "batches",
+        "reqs",  # requests served here (replica-local arrival times)
+        "lats",  # per-request latency from *original* arrival
+        "phase_ms",
+    )
+
+    def __init__(self, idx: int, cache: _LRUCacheBase, state: str):
+        self.idx = idx
+        self.cache = cache
+        self.caches = [cache]
+        self.state = state
+        self.detect_at = math.inf
+        self.open = OpenBatch()
+        self.busy_until = 0.0
+        self.batches = 0
+        self.reqs: List[Request] = []
+        self.lats: List[float] = []
+        self.phase_ms: Dict[str, float] = {}
+
+    @property
+    def accepting(self) -> bool:
+        """Actually able to take a request."""
+        return self.state == "active"
+
+    def routable(self, now_s: float) -> bool:
+        """What the router believes: down replicas stay routable until
+        the client timeout detects them."""
+        if self.accepting:
+            return True
+        return self.state in ("dead", "hung") and now_s < self.detect_at
+
+
 class ServingFleet:
     """N serving replicas, each owning a batcher queue and an LRU
-    embedding cache, priced on one shared :class:`SimCluster`.
+    embedding cache, priced on one shared :class:`SimCluster` — with
+    optional seeded faults, client retries with backoff, degraded-mode
+    serving, crash recovery, SLO autoscaling and planned hot swaps.
 
     ``num_replicas`` defaults to one replica per dense host (the
     :class:`~repro.serving.service.InferenceService` notion); more
     replicas than dense hosts time-share host GPUs, so each replica's
     dense forward slows by the oversubscription factor.  The fetch path
     — global fabric or embedding tier per the placement — is shared by
-    the whole fleet.
+    the whole fleet.  ``engine`` injects a PlacementEngine subclass
+    (the tiered engine) and ``cache_factory`` may build multi-level
+    CacheChains.  Any of ``faults`` / ``retry`` / ``recovery`` /
+    ``autoscaler`` / ``swaps`` may be omitted; with all of them omitted
+    the fleet is healthy.
     """
 
     def __init__(
@@ -377,11 +417,18 @@ class ServingFleet:
         cache_factory: Optional[Callable[[], _LRUCacheBase]] = None,
         router_seed: int = 0,
         engine: Optional[PlacementEngine] = None,
+        faults: Optional[FaultConfig] = None,
+        retry: Optional[RetryPolicy] = None,
+        recovery: Optional[RecoveryModel] = None,
+        autoscaler: Optional[SLOAutoscaler] = None,
+        degraded_mode: bool = True,
+        stale_penalty: float = 0.05,
+        swaps: Optional[Sequence[SwapEvent]] = None,
     ):
-        # ``engine`` injects a PlacementEngine subclass (the tiered
-        # engine); ``cache_factory`` may build multi-level CacheChains.
         self.engine = (
-            engine if engine is not None else PlacementEngine(sim, model, placement)
+            engine
+            if engine is not None
+            else PlacementEngine(sim, model, placement)
         )
         self.num_replicas = (
             num_replicas
@@ -392,30 +439,71 @@ class ServingFleet:
             raise ValueError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"
             )
+        if stale_penalty < 0:
+            raise ValueError(
+                f"stale_penalty must be >= 0, got {stale_penalty}"
+            )
         self.sim = sim
         self.model = model
         self.placement = placement
         self.batcher = batcher
-        self.router = router if isinstance(router, Router) else make_router(
-            router, seed=router_seed
-        )
-        factory = cache_factory or (lambda: LRUEmbeddingCache(cache_rows))
-        self.caches: List[_LRUCacheBase] = [
-            factory() for _ in range(self.num_replicas)
-        ]
-        # Replicas beyond the dense hosts time-share their GPUs.
+        self.faults = faults if faults is not None else FaultConfig()
+        self.swaps: Tuple[SwapEvent, ...] = tuple(swaps) if swaps else ()
+        for swap in self.swaps:
+            if swap.replica >= self.num_replicas:
+                raise ValueError(
+                    f"swap targets replica {swap.replica}, fleet has "
+                    f"{self.num_replicas}"
+                )
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.recovery = recovery
+        self.autoscaler = autoscaler
+        self.degraded_mode = degraded_mode
+        self.stale_penalty = stale_penalty
+        # Replicas beyond the dense hosts time-share their GPUs (the
+        # initial fleet's share; the replay re-derives it from the
+        # replicas actually serving).
         self.host_share = min(
             1.0, self.engine.num_dense_hosts / self.num_replicas
+        )
+        # Replica slots: the initial fleet plus headroom the autoscaler
+        # may grow into.  The router binds over the full capacity with
+        # only the initial replicas live, so scale-up is a membership
+        # change, not a rebind.
+        self.capacity = self.num_replicas
+        if autoscaler is not None:
+            self.capacity = max(
+                self.capacity, autoscaler.policy.max_replicas
+            )
+            if autoscaler.policy.min_replicas > self.num_replicas:
+                raise ValueError(
+                    f"initial fleet ({self.num_replicas} replicas) is "
+                    f"below the autoscaler floor "
+                    f"({autoscaler.policy.min_replicas})"
+                )
+        self._cache_factory = cache_factory or (
+            lambda: LRUEmbeddingCache(cache_rows)
+        )
+        self.caches: List[_LRUCacheBase] = [
+            self._cache_factory() for _ in range(self.capacity)
+        ]
+        self.router = (
+            router
+            if isinstance(router, Router)
+            else make_router(router, seed=router_seed)
         )
 
     # ------------------------------------------------------------------
     def warm_start_from_checkpoint(
         self, path: str, max_rows: Optional[int] = None
     ) -> int:
-        """Prefill every replica's cache from the checkpoint's hottest
-        saved rows (each replica may see any key, so each gets the
-        same hottest-first seed).  Returns total rows seeded."""
-        limit = max(cache.capacity_rows for cache in self.caches)
+        """Prefill the *initial* replicas' caches from a checkpoint's
+        hottest rows (each replica may see any key, so each gets the
+        same hottest-first seed; scale-up slots stay cold on purpose —
+        their warm-start is the autoscaler's priced prefill).  Returns
+        total rows seeded."""
+        initial = self.caches[: self.num_replicas]
+        limit = max(cache.capacity_rows for cache in initial)
         if max_rows is not None:
             limit = min(limit, max_rows)
         if limit <= 0:
@@ -423,120 +511,648 @@ class ServingFleet:
         from repro.checkpoint.state import hottest_rows
 
         rows = hottest_rows(path, limit)
-        return sum(cache.prefill(rows) for cache in self.caches)
+        return sum(cache.prefill(rows) for cache in initial)
 
     # ------------------------------------------------------------------
-    def serve(self, requests: Sequence[Request]) -> FleetReport:
-        """Route, batch, and price the trace; returns the fleet report."""
+    # Replay internals
+    # ------------------------------------------------------------------
+    def _accepting_count(self) -> int:
+        return sum(1 for s in self._slots if s.accepting)
+
+    def _host_share(self) -> float:
+        """Survivors inherit the dense GPUs of dead replicas — the
+        share is over replicas actually serving right now."""
+        live = max(1, self._accepting_count())
+        return min(1.0, self.engine.num_dense_hosts / live)
+
+    def _update_membership(self, now_s: float) -> None:
+        mask = np.zeros(self.capacity, dtype=bool)
+        for slot in self._slots:
+            mask[slot.idx] = slot.routable(now_s)
+        # If every replica is down the router keeps its stale view —
+        # clients keep timing out (and retrying) against it, which is
+        # exactly what a real front-end does during a total outage.
+        if mask.any():
+            self.router.set_live(mask)
+
+    def _push(self, t: float, kind: str, payload: Any) -> None:
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+
+    def _fetch_scale_at(self, t: float) -> float:
+        scale = 1.0
+        for lo, hi, factor in self._degrade_windows:
+            if lo <= t < hi:
+                scale *= factor
+        return scale
+
+    def _outage_end_at(self, t: float) -> Optional[float]:
+        end = None
+        for lo, hi in self._outage_windows:
+            if lo <= t < hi:
+                end = hi if end is None else max(end, hi)
+        return end
+
+    def _window_index(self, t: float) -> int:
+        if self._win_s <= 0:
+            return 0
+        return int((t - self._t0) / self._win_s)
+
+    # ------------------------------------------------------------------
+    def _schedule_retry(self, req: Request, now_s: float) -> None:
+        """The client's attempt just failed (timeout / crash): back off
+        and re-send, or declare the request lost."""
+        self._timeouts += 1
+        orig = getattr(req, "origin", req)
+        attempt = getattr(req, "attempt", 0) + 1
+        if attempt > self.retry.max_retries or self._budget_left <= 0:
+            self._lost += 1
+            return
+        self._budget_left -= 1
+        self._retries += 1
+        self._retried_ids.add(orig.req_id)
+        delay = self.retry.timeout_s + self.retry.backoff_s(
+            orig.req_id, attempt
+        )
+        self._seq += 1
+        retry = _Retry(orig.req_id, now_s + delay, orig.keys, orig, attempt)
+        heapq.heappush(self._due, (retry.arrival_s, self._seq, retry))
+
+    def _route(self, arrivals: List[Request]) -> None:
+        """Route and batch one event-free piece of the replay.
+
+        Membership and every replica's accepting state are fixed inside
+        the piece; requests routed at a down-but-undetected replica eat
+        the client timeout and retry.
+        """
+        assignment = self.router.route_trace(
+            arrivals, self.batcher.max_delay_s
+        ).tolist()
+        accepting = [slot.accepting for slot in self._slots]
+        shares: List[List[Request]] = [[] for _ in self._slots]
+        for req, rep in zip(arrivals, assignment):
+            if accepting[rep]:
+                shares[rep].append(req)
+            else:
+                self._schedule_retry(req, req.arrival_s)
+        full = self.batcher.max_batch_size
+        for slot, share in zip(self._slots, shares):
+            if share:
+                self._closed.extend(
+                    (batch.ready_s, batch.size == full, slot.idx, batch)
+                    for batch in self.batcher.form_batches(share, slot.open)
+                )
+
+    def _price_closed(self, horizon: float) -> None:
+        """Close the open batches due by ``horizon`` and price every
+        closed batch in ready order (deadline flushes first on a tie,
+        then by replica)."""
+        for slot in self._slots:
+            if slot.open.requests and slot.open.deadline <= horizon:
+                batch = slot.open.close()
+                self._closed.append((batch.ready_s, False, slot.idx, batch))
+        self._closed.sort(key=lambda item: item[:3])
+        host_share = self._host_share()  # fixed until the next event
+        for _, _, idx, batch in self._closed:
+            self._price(self._slots[idx], batch, host_share)
+        self._closed = []
+
+    def _price(
+        self, slot: _Slot, batch: MicroBatch, host_share: float
+    ) -> None:
+        """Price one closed batch on its replica."""
+        ready_s = batch.ready_s
+        start = max(ready_s, slot.busy_until)
+        hits, miss_keys = slot.cache.probe(batch.keys)
+        extra = self.engine.chain_extra_seconds(slot.cache)
+        misses = len(miss_keys)
+        degraded = False
+        if misses:
+            outage_end = self._outage_end_at(start)
+            if outage_end is not None:
+                if self.degraded_mode:
+                    # Serve stale/default rows now, price the quality
+                    # hit; the miss rows cost a local read, not a fetch.
+                    degraded = True
+                else:
+                    start = outage_end  # stall until the tier returns
+        hits_eff, miss_eff = (
+            (hits + misses, 0) if degraded else (hits, misses)
+        )
+        done, t_fetch, t_compute, t_queue = self.engine.price_batch(
+            batch,
+            start,
+            self._fetch_free,
+            hits_eff,
+            miss_eff,
+            host_share=host_share,
+            label_suffix=f"/replica{slot.idx}",
+            extra_compute_s=extra,
+            fetch_scale=self._fetch_scale_at(start),
+        )
+        mine = slot.phase_ms
+        if miss_eff:
+            mine["embedding_comm"] = (
+                mine.get("embedding_comm", 0.0) + t_fetch * 1e3
+            )
+        mine["compute"] = mine.get("compute", 0.0) + t_compute * 1e3
+        mine["queue"] = mine.get("queue", 0.0) + t_queue * 1e3
+        slot.busy_until = done
+        slot.batches += 1
+        self._num_batches += 1
+        if degraded:
+            self._degraded += batch.size
+            self._degraded_rows += misses
+        origins = batch.requests
+        if self._retried_ids:
+            # A retried copy's latency counts from its origin's arrival.
+            origins = [getattr(r, "origin", r) for r in origins]
+        lats = [done - orig.arrival_s for orig in origins]
+        slot.reqs.extend(batch.requests)
+        slot.lats.extend(lats)
+        self._served.extend(origins)
+        self._win_lat.setdefault(self._window_index(done), []).extend(lats)
+        heapq.heappush(self._done, (done, batch.size))
+
+    # ------------------------------------------------------------------
+    def _fail_open_batch(self, slot: _Slot, t: float) -> None:
+        failed = slot.open.requests
+        slot.open = OpenBatch()
+        for req in failed:
+            self._schedule_retry(req, t)
+
+    def _on_fault(self, t: float, event: FaultEvent) -> None:
+        record = dict(event.to_dict())
+        record["at_s"] = t  # absolute time in the trace frame
+        if event.kind == "replica_crash":
+            slot = self._slots[event.replica % self.num_replicas]
+            record["replica"] = slot.idx
+            record["applied"] = slot.state == "active"
+            self._timeline_log.append(record)
+            if slot.state != "active":
+                return  # already dead/drained: nothing left to kill
+            slot.state = "dead"
+            slot.detect_at = t + self.retry.timeout_s
+            self._push(slot.detect_at, "membership", None)
+            self._fail_open_batch(slot, t)
+            crash: Dict[str, Any] = {
+                "at_s": t,
+                "replica": slot.idx,
+                "detected_s": slot.detect_at,
+                "mttr_s": None,
+                "online_s": None,
+            }
+            if self.recovery is not None:
+                mttr = self.recovery.mttr_s()
+                crash["mttr_s"] = mttr
+                crash["online_s"] = t + mttr
+                self._push(
+                    t + mttr,
+                    "online",
+                    (slot.idx, self.recovery.warm_rows, True, None),
+                )
+            self._crashes.append(crash)
+        elif event.kind == "replica_hang":
+            slot = self._slots[event.replica % self.num_replicas]
+            record["replica"] = slot.idx
+            record["applied"] = slot.state == "active"
+            self._timeline_log.append(record)
+            if slot.state != "active":
+                return
+            slot.state = "hung"
+            hang_until = t + event.duration_s
+            slot.detect_at = min(t + self.retry.timeout_s, hang_until)
+            self._push(slot.detect_at, "membership", None)
+            self._push(hang_until, "hang_end", slot.idx)
+            self._fail_open_batch(slot, t)
+        elif event.kind == "fetch_degrade":
+            record["applied"] = True
+            self._timeline_log.append(record)
+            self._degrade_windows.append(
+                (t, t + event.duration_s, event.factor)
+            )
+        else:  # fetch_outage
+            record["applied"] = True
+            self._timeline_log.append(record)
+            self._outage_windows.append((t, t + event.duration_s))
+
+    def _on_online(
+        self,
+        t: float,
+        idx: int,
+        warm_rows: Any,
+        fresh_cache: bool,
+        scale_event: Optional[Dict[str, Any]],
+    ) -> None:
+        slot = self._slots[idx]
+        if fresh_cache:
+            cache = self._cache_factory()
+            slot.cache = cache
+            slot.caches.append(cache)
+        slot.state = "active"
+        slot.detect_at = math.inf
+        prefill_s = 0.0
+        # ``warm_rows`` is a count (hottest-first, crash recovery and
+        # autoscale) or an explicit id array (a delta's touched rows).
+        if isinstance(warm_rows, np.ndarray):
+            rows_arr = np.asarray(warm_rows, dtype=np.int64)[
+                : slot.cache.capacity_rows
+            ]
+        else:
+            rows_arr = np.arange(
+                min(int(warm_rows), slot.cache.capacity_rows),
+                dtype=np.int64,
+            )
+        if rows_arr.size > 0:
+            # Warm-start prefill: pull the rows over the fetch tier
+            # before taking traffic — priced, so coming online is
+            # never free.
+            slot.cache.prefill(rows_arr)
+            server = int(np.argmin(self._fetch_free))
+            fetch_start = max(t, float(self._fetch_free[server]))
+            prefill_s, nbytes, world = self.engine.fetch_timing(
+                int(rows_arr.size)
+            )
+            self._fetch_free[server] = fetch_start + prefill_s
+            self.sim.timeline.add(
+                Phase.EMBEDDING_COMM,
+                f"warm-prefill/replica{idx}",
+                prefill_s,
+                nbytes=nbytes,
+                world_size=world,
+            )
+            slot.busy_until = max(
+                slot.busy_until, fetch_start + prefill_s
+            )
+        if scale_event is not None:
+            scale_event["online_s"] = t
+            scale_event["prefill_s"] = prefill_s
+        self._update_membership(t)
+
+    def _on_swap(self, t: float, swap: SwapEvent) -> None:
+        """Planned rollout step: drain, restart on the new version,
+        warm the cache, rejoin — all priced, none of it a fault."""
+        slot = self._slots[swap.replica]
+        record = dict(swap.to_dict())
+        record["at_s"] = t  # absolute time in the trace frame
+        record["applied"] = slot.state == "active"
+        record["online_s"] = None
+        record["prefill_s"] = 0.0
+        self._swap_log.append(record)
+        if slot.state != "active":
+            return  # dead/hung/drained: the rollout skips this replica
+        if swap.swap_s > 0:
+            if slot.open.requests:
+                # Graceful drain: the open batch is served, not failed.
+                self._price(slot, slot.open.close(t), self._host_share())
+            slot.state = "swapping"
+            self._update_membership(t)
+            self._push(
+                t + swap.swap_s,
+                "online",
+                (slot.idx, swap.warm_rows, swap.fresh_cache, record),
+            )
+        else:
+            # Zero-downtime swap: the replica never leaves the router.
+            self._on_online(
+                t, slot.idx, swap.warm_rows, swap.fresh_cache, record
+            )
+
+    def _on_window(self, t: float, k: int) -> None:
+        lats = self._win_lat.get(k - 1)
+        p99 = (
+            float(np.percentile(np.asarray(lats) * 1e3, 99))
+            if lats
+            else None
+        )
+        while self._done and self._done[0][0] <= t:
+            self._completed += heapq.heappop(self._done)[1]
+        queued = sum(len(slot.open.requests) for slot in self._slots)
+        inflight = len(self._served) - self._completed + queued
+        accepting = self._accepting_count()
+        depth = inflight / max(1, accepting)
+        policy = self.autoscaler.policy if self.autoscaler else None
+        violated = bool(
+            policy is not None
+            and p99 is not None
+            and p99 > policy.slo_p99_ms
+        )
+        self._windows.append(
+            {
+                "t0": self._t0 + (k - 1) * self._win_s,
+                "t1": self._t0 + k * self._win_s,
+                "p99_ms": p99,
+                "queue_depth": depth,
+                "replicas": accepting,
+                "violated": violated,
+            }
+        )
+        if self.autoscaler is None:
+            return
+        current = sum(
+            1
+            for slot in self._slots
+            if slot.state in ("provisioning", "active", "hung", "swapping")
+        )
+        target = self.autoscaler.decide(p99, depth, current)
+        if target > current:
+            added = 0
+            evt = {
+                "at_s": t,
+                "action": "scale_up",
+                "from_replicas": current,
+                "to_replicas": current,
+                "online_s": None,
+                "prefill_s": 0.0,
+            }
+            for slot in self._slots:
+                if added >= target - current:
+                    break
+                if slot.state != "idle":
+                    continue
+                slot.state = "provisioning"
+                self._push(
+                    t + policy.provision_s,
+                    "online",
+                    (slot.idx, policy.warm_rows, False, evt),
+                )
+                added += 1
+            if added:
+                evt["to_replicas"] = current + added
+                self._scale_events.append(evt)
+        elif target < current:
+            victims = sorted(
+                (slot for slot in self._slots if slot.accepting),
+                key=lambda s: (len(s.open.requests), -s.idx),
+            )[: current - target]
+            for slot in victims:
+                if slot.open.requests:
+                    self._price(slot, slot.open.close(t), self._host_share())
+                slot.state = "drained"
+            if victims:
+                self._scale_events.append(
+                    {
+                        "at_s": t,
+                        "action": "drain",
+                        "from_replicas": current,
+                        "to_replicas": current - len(victims),
+                        "replicas_drained": [s.idx for s in victims],
+                    }
+                )
+                self._update_membership(t)
+
+    # ------------------------------------------------------------------
+    def serve(self, requests: Sequence[Request]) -> FaultReport:
+        """Replay the trace; returns the fault report (its ``fleet``
+        field is the fleet report over the served requests)."""
         if not requests:
             raise ValueError("cannot serve an empty request trace")
         ordered = sorted(requests, key=lambda r: r.arrival_s)
-        self.router.bind(self.num_replicas)
-        assignment = self.router.route_trace(
-            ordered, self.batcher.max_delay_s
-        )
-        per_replica: List[List[Request]] = [
-            [] for _ in range(self.num_replicas)
+        self._t0 = ordered[0].arrival_s
+        span = ordered[-1].arrival_s - self._t0
+
+        self.router.bind(self.capacity)
+        self._slots = [
+            _Slot(
+                i,
+                self.caches[i],
+                "active" if i < self.num_replicas else "idle",
+            )
+            for i in range(self.capacity)
         ]
-        for req, rep in zip(ordered, assignment):
-            per_replica[int(rep)].append(req)
+        stats_before = [cache.stats for cache in self.caches]
+        self.router.set_live(
+            np.arange(self.capacity) < self.num_replicas
+        )
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
 
-        tagged = []
-        for rep, reqs in enumerate(per_replica):
-            if reqs:
-                tagged.extend(
-                    (batch.ready_s, rep, batch)
-                    for batch in self.batcher.form_batches(reqs)
-                )
-        # One global event order over the shared fetch tier.
-        tagged.sort(key=lambda item: (item[0], item[1]))
+        self._heap: List[Tuple[float, int, str, Any]] = []
+        self._due: List[Tuple[float, int, Request]] = []  # retries
+        self._closed: List[Tuple[float, bool, int, MicroBatch]] = []
+        self._seq = 0
+        self._fetch_free = np.zeros(self.engine.num_fetch_servers)
+        self._degrade_windows: List[Tuple[float, float, float]] = []
+        self._outage_windows: List[Tuple[float, float]] = []
+        self._served: List[Request] = []
+        self._done: List[Tuple[float, int]] = []  # (done_s, size) heap
+        self._completed = 0
+        self._win_lat: Dict[int, List[float]] = {}
+        self._windows: List[Dict[str, Any]] = []
+        self._scale_events: List[Dict[str, Any]] = []
+        self._crashes: List[Dict[str, Any]] = []
+        self._timeline_log: List[Dict[str, Any]] = []
+        self._swap_log: List[Dict[str, Any]] = []
+        self._num_batches = 0
+        self._lost = 0
+        self._retries = 0
+        self._timeouts = 0
+        self._degraded = 0
+        self._degraded_rows = 0
+        self._retried_ids: set = set()
+        self._budget_left = int(
+            math.ceil(self.retry.retry_budget * len(ordered))
+        )
 
-        num = self.num_replicas
-        replica_free = np.zeros(num)
-        fetch_free = np.zeros(self.engine.num_fetch_servers)
+        # Observation windows (autoscaler cadence; also the SLO report
+        # granularity when no autoscaler is attached).
+        if (
+            self.autoscaler is not None
+            and self.autoscaler.policy.window_s > 0
+        ):
+            self._win_s = self.autoscaler.policy.window_s
+        else:
+            self._win_s = span / 20.0 if span > 0 else 0.0
+
+        # Seed the control-event heap: faults first, then planned
+        # swaps, then window boundaries — a deterministic tie order.
+        for event in self.faults.schedule(span, self.num_replicas):
+            self._push(self._t0 + event.at_s, "fault", event)
+        for swap in self.swaps:
+            self._push(self._t0 + swap.at_s, "swap", swap)
+        if self._win_s > 0:
+            num_windows = int(math.ceil(span / self._win_s))
+            for k in range(1, num_windows + 1):
+                self._push(self._t0 + k * self._win_s, "window", k)
+
         timeline = self.sim.timeline
         events_before = len(timeline.events)
-        stats_before = [cache.stats for cache in self.caches]
-        latencies: List[List[float]] = [[] for _ in range(num)]
-        batch_counts = [0] * num
-        # Same shape convention as the timeline-derived breakdowns: a
-        # phase key exists only if the replica recorded an event for it.
-        phase_ms: List[Dict[str, float]] = [{} for _ in range(num)]
-        strategy = self.placement.strategy
-        for ready, rep, batch in tagged:
-            start = max(ready, float(replica_free[rep]))
-            hits, miss_keys = self.caches[rep].probe(batch.keys)
-            extra = self.engine.chain_extra_seconds(self.caches[rep])
-            done, t_fetch, t_compute, t_queue = self.engine.price_batch(
-                batch,
-                start,
-                fetch_free,
-                hits,
-                len(miss_keys),
-                host_share=self.host_share,
-                label_suffix=f"/replica{rep}",
-                extra_compute_s=extra,
-            )
-            mine = phase_ms[rep]
-            if len(miss_keys):
-                mine["embedding_comm"] = (
-                    mine.get("embedding_comm", 0.0) + t_fetch * 1e3
+        arrivals = [req.arrival_s for req in ordered]
+        nxt = 0
+        timeout = self.retry.timeout_s
+        while True:
+            horizon = self._heap[0][0] if self._heap else math.inf
+            while True:
+                first = min(
+                    arrivals[nxt] if nxt < len(ordered) else math.inf,
+                    self._due[0][0] if self._due else math.inf,
                 )
-            mine["compute"] = mine.get("compute", 0.0) + t_compute * 1e3
-            mine["queue"] = mine.get("queue", 0.0) + t_queue * 1e3
-            replica_free[rep] = done
-            batch_counts[rep] += 1
-            latencies[rep].extend(
-                done - req.arrival_s for req in batch.requests
-            )
+                if first >= horizon:
+                    break
+                # No retry born in this piece can land inside it.
+                end = min(horizon, first + timeout)
+                stop = bisect.bisect_left(arrivals, end, lo=nxt)
+                piece = ordered[nxt:stop]
+                nxt = stop
+                if self._due and self._due[0][0] < end:
+                    while self._due and self._due[0][0] < end:
+                        piece.append(heapq.heappop(self._due)[2])
+                    # Stable: originals before retries on a tie.
+                    piece.sort(key=lambda r: r.arrival_s)
+                self._route(piece)
+            self._price_closed(horizon)
+            if not self._heap:
+                break
+            t, _, kind, payload = heapq.heappop(self._heap)
+            if kind == "fault":
+                self._on_fault(t, payload)
+            elif kind == "membership":
+                self._update_membership(t)
+            elif kind == "hang_end":
+                slot = self._slots[payload]
+                if slot.state == "hung":
+                    slot.state = "active"
+                    slot.detect_at = math.inf
+                    self._update_membership(t)
+            elif kind == "swap":
+                self._on_swap(t, payload)
+            elif kind == "online":
+                idx, warm_rows, fresh_cache, scale_event = payload
+                self._on_online(t, idx, warm_rows, fresh_cache, scale_event)
+            else:  # window
+                self._on_window(t, payload)
 
+        return self._build_report(
+            ordered, stats_before, timeline, events_before
+        )
+
+    # ------------------------------------------------------------------
+    def _build_report(
+        self,
+        ordered: Sequence[Request],
+        stats_before: List[Any],
+        timeline: Any,
+        events_before: int,
+    ) -> FaultReport:
+        strategy = self.placement.strategy
+        last_done = max(
+            (slot.busy_until for slot in self._slots), default=0.0
+        )
         replica_reports: Dict[int, ServingReport] = {}
-        for rep in range(num):
-            if not per_replica[rep]:
+        all_lats: List[float] = []
+        total_hits = 0
+        total_misses = 0
+        for slot in self._slots:
+            hits = sum(c.stats.hits for c in slot.caches)
+            misses = sum(c.stats.misses for c in slot.caches)
+            hits -= stats_before[slot.idx].hits
+            misses -= stats_before[slot.idx].misses
+            total_hits += hits
+            total_misses += misses
+            all_lats.extend(slot.lats)
+            if not slot.reqs:
                 continue
-            stats = self.caches[rep].stats
-            replica_reports[rep] = build_report(
+            replica_reports[slot.idx] = build_report(
                 placement=strategy,
                 model=self.model.name,
-                requests=per_replica[rep],
-                num_batches=batch_counts[rep],
-                latencies_s=np.asarray(latencies[rep]),
-                last_done_s=float(replica_free[rep]),
-                hits=stats.hits - stats_before[rep].hits,
-                misses=stats.misses - stats_before[rep].misses,
-                breakdown_ms=phase_ms[rep],
+                requests=slot.reqs,
+                num_batches=slot.batches,
+                latencies_s=np.asarray(slot.lats),
+                last_done_s=slot.busy_until,
+                hits=hits,
+                misses=misses,
+                breakdown_ms=slot.phase_ms,
             )
-
         breakdown: Dict[str, float] = {}
         for event in timeline.events[events_before:]:
             breakdown[event.phase.value] = (
                 breakdown.get(event.phase.value, 0.0) + event.seconds * 1e3
             )
-        total_hits = sum(
-            self.caches[rep].stats.hits - stats_before[rep].hits
-            for rep in range(num)
-        )
-        total_misses = sum(
-            self.caches[rep].stats.misses - stats_before[rep].misses
-            for rep in range(num)
-        )
-        fleet = build_report(
+        fleet_serving = build_report(
             placement=strategy,
             model=self.model.name,
-            requests=ordered,
-            num_batches=len(tagged),
-            latencies_s=np.concatenate(
-                [np.asarray(lat) for lat in latencies if lat]
-            ),
-            last_done_s=float(replica_free.max()),
+            requests=self._served,  # only count and arrival span matter
+            num_batches=self._num_batches,
+            latencies_s=np.asarray(all_lats),
+            last_done_s=last_done,
             hits=total_hits,
             misses=total_misses,
             breakdown_ms=breakdown,
         )
-        return FleetReport(
+        fleet = FleetReport(
             router=self.router.name,
-            num_replicas=num,
-            fleet=fleet,
+            num_replicas=self.capacity,
+            fleet=fleet_serving,
             replicas=replica_reports,
-            requests_per_replica=[len(reqs) for reqs in per_replica],
+            requests_per_replica=[
+                len(slot.reqs) for slot in self._slots
+            ],
         )
+        # Tail completions past the last scheduled boundary still count
+        # toward the SLO story.
+        recorded = len(self._windows)
+        if self._win_s > 0 and self._win_lat:
+            policy = self.autoscaler.policy if self.autoscaler else None
+            for k in sorted(self._win_lat):
+                if k < recorded:
+                    continue
+                p99 = float(
+                    np.percentile(np.asarray(self._win_lat[k]) * 1e3, 99)
+                )
+                self._windows.append(
+                    {
+                        "t0": self._t0 + k * self._win_s,
+                        "t1": self._t0 + (k + 1) * self._win_s,
+                        "p99_ms": p99,
+                        "queue_depth": 0.0,
+                        "replicas": self._accepting_count(),
+                        "violated": bool(
+                            policy is not None
+                            and p99 > policy.slo_p99_ms
+                        ),
+                    }
+                )
+        traffic_windows = [
+            w for w in self._windows if w["p99_ms"] is not None
+        ]
+        violation_fraction = (
+            sum(1 for w in traffic_windows if w["violated"])
+            / len(traffic_windows)
+            if traffic_windows
+            else 0.0
+        )
+        recovered = [
+            c["mttr_s"] for c in self._crashes if c["mttr_s"] is not None
+        ]
+        num_served = len(self._served)
+        return FaultReport(
+            fleet=fleet,
+            num_offered=len(ordered),
+            num_served=num_served,
+            num_lost=self._lost,
+            num_retried=len(self._retried_ids),
+            num_retries=self._retries,
+            num_timeouts=self._timeouts,
+            num_degraded=self._degraded,
+            degraded_rows=self._degraded_rows,
+            quality_cost=(
+                self.stale_penalty * self._degraded / num_served
+                if num_served
+                else 0.0
+            ),
+            slo_p99_ms=(
+                self.autoscaler.policy.slo_p99_ms
+                if self.autoscaler is not None
+                else 0.0
+            ),
+            slo_violation_fraction=violation_fraction,
+            mttr_s=(
+                float(np.mean(recovered)) if recovered else 0.0
+            ),
+            windows=self._windows,
+            scale_events=self._scale_events,
+            crashes=self._crashes,
+            fault_timeline=self._timeline_log,
+            swaps=self._swap_log,
+        )
+

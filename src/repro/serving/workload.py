@@ -46,6 +46,17 @@ import numpy as np
 SCENARIOS = ("poisson", "diurnal", "flash")
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer: a stable, seed-independent
+    integer hash over request ids, keys and counters (Python's ``hash``
+    is identity on ints — useless for ring placement)."""
+    x = np.asarray(x).astype(np.uint64)
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 @dataclass(frozen=True, eq=False)
 class Request:
     """One inference request: arrival time plus the embedding rows it

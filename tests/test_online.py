@@ -37,7 +37,7 @@ from repro.serving import (
     MicroBatcher,
     Placement,
     RequestStream,
-    ResilientFleet,
+    ServingFleet,
     ServingModel,
     SwapEvent,
     WorkloadConfig,
@@ -414,7 +414,7 @@ class TestZeroChangeSwapOracle:
         sim = SimCluster(
             Cluster(num_hosts=4, gpus_per_host=2, generation="A100")
         )
-        return ResilientFleet(
+        return ServingFleet(
             sim,
             ServingModel(
                 name="tiny", num_lookups=4, embedding_dim=16, dense_mflops=1.0

@@ -10,6 +10,7 @@ from repro.serving import (
     LRUEmbeddingCache,
     MicroBatch,
     MicroBatcher,
+    OpenBatch,
     Placement,
     ReferenceLRUCache,
     Request,
@@ -126,6 +127,27 @@ class TestMicroBatcher:
         batches = MicroBatcher(max_batch_size=7, max_delay_s=0.002).form_batches(reqs)
         served = [r.req_id for b in batches for r in b.requests]
         assert sorted(served) == list(range(333))
+
+    def test_resumed_batching_matches_whole_trace(self):
+        """The fleet engine batches a replica's arrivals in pieces,
+        carrying the open batch across each boundary: the batches must
+        be exactly those of batching the whole trace at once."""
+        stream = RequestStream(WorkloadConfig(qps=20_000.0, num_requests=600, seed=8))
+        reqs = stream.generate()
+        batcher = MicroBatcher(max_batch_size=5, max_delay_s=0.0004)
+        whole = batcher.form_batches(reqs)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            cuts = sorted(rng.choice(np.arange(1, 600), size=40, replace=False).tolist())
+            carry = OpenBatch()
+            pieces = []
+            for lo, hi in zip([0, *cuts], [*cuts, 600]):
+                pieces.extend(batcher.form_batches(reqs[lo:hi], carry))
+            if carry.requests:
+                pieces.append(carry.close())
+            assert [(b.ready_s, [r.req_id for r in b.requests]) for b in pieces] == [
+                (b.ready_s, [r.req_id for r in b.requests]) for b in whole
+            ]
 
     def test_batch_validation(self):
         with pytest.raises(ValueError, match=">= 1 request"):

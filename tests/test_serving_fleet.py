@@ -246,7 +246,7 @@ class TestRouterMembership:
 
     def test_dead_replicas_never_routed_fuzz(self):
         """Fuzz membership churn: random masks between bursts of
-        route_one calls; every routed replica must be live at the time
+        routed requests; every routed replica must be live at the time
         of routing, for every policy."""
         rng = np.random.default_rng(42)
         reqs = trace(n=400, seed=9)
@@ -260,14 +260,49 @@ class TestRouterMembership:
                     mask[int(rng.integers(0, 6))] = True
                 router.set_live(mask)
                 live = set(router.live_replicas.tolist())
-                depths = rng.integers(0, 8, size=6).astype(np.float64)
-                for _ in range(12):
-                    req_ = reqs[cursor % len(reqs)]
-                    cursor += 1
-                    rep = router.route_one(
-                        req_, req_.arrival_s, depths=depths
+                burst = reqs[cursor : cursor + 12]
+                cursor += 12
+                routed = router.route_trace(burst[:-1], 0.001).tolist()
+                routed.append(router.route_one(burst[-1], 0.001))
+                assert set(routed) <= live
+
+    @pytest.mark.parametrize("policy", ROUTER_POLICIES)
+    def test_split_trace_routes_like_the_whole(self, policy):
+        """The fleet engine routes a replay in pieces between control
+        events, so at fixed membership where a trace is split — at
+        random points, or one request at a time — must not change its
+        routing."""
+        reqs = trace(n=1500, seed=11, qps=500_000.0)
+        rng = np.random.default_rng(5)
+        for mask in ([True] * 5, [True, False, True, True, False]):
+
+            def fresh():
+                router = make_router(policy, seed=3)
+                router.bind(5)
+                router.set_live(mask)
+                return router
+
+            whole = fresh().route_trace(reqs, 0.001)
+            for _ in range(4):
+                cuts = np.sort(
+                    rng.choice(
+                        np.arange(1, len(reqs)),
+                        size=int(rng.integers(1, 60)),
+                        replace=False,
                     )
-                    assert rep in live
+                ).tolist()
+                bounds = [0, *cuts, len(reqs)]
+                router = fresh()
+                split = np.concatenate(
+                    [
+                        router.route_trace(reqs[lo:hi], 0.001)
+                        for lo, hi in zip(bounds, bounds[1:])
+                    ]
+                )
+                assert np.array_equal(split, whole)
+            router = fresh()
+            one_by_one = [router.route_one(req, 0.001) for req in reqs[:300]]
+            assert one_by_one == whole[:300].tolist()
 
     def test_route_trace_respects_membership(self):
         reqs = trace(n=600, seed=10)
@@ -299,7 +334,7 @@ class TestRouterMembership:
 class TestServingFleet:
     def test_every_request_served_exactly_once(self):
         reqs = trace(n=1111)
-        report = make_fleet(cache_rows=256).serve(reqs)
+        report = make_fleet(cache_rows=256).serve(reqs).fleet
         assert report.fleet.num_requests == 1111
         assert sum(report.requests_per_replica) == 1111
         assert sum(r.num_requests for r in report.replicas.values()) == 1111
@@ -318,7 +353,7 @@ class TestServingFleet:
         cluster = Cluster(num_hosts=2, gpus_per_host=2, generation="A100")
         fleet_report = make_fleet(
             cluster=cluster, cache_rows=256, num_replicas=1
-        ).serve(reqs)
+        ).serve(reqs).fleet
         sim = SimCluster(cluster)
         svc = InferenceService(
             sim,
@@ -353,8 +388,8 @@ class TestServingFleet:
         """Serving a second trace must report only that trace — not
         accumulate events or cache counters from the first."""
         fleet = make_fleet(cache_rows=256)
-        first = fleet.serve(trace(n=800))
-        second = fleet.serve(trace(n=800))
+        first = fleet.serve(trace(n=800)).fleet
+        second = fleet.serve(trace(n=800)).fleet
         assert (
             second.fleet.cache_hits + second.fleet.cache_misses
             == first.fleet.cache_hits + first.fleet.cache_misses
@@ -372,7 +407,7 @@ class TestServingFleet:
         fleet = make_fleet(cache_rows=256)
         for cache in fleet.caches:
             cache.prefill(np.arange(100))
-        report = fleet.serve(trace(n=400, key_space=100))
+        report = fleet.serve(trace(n=400, key_space=100)).fleet
         assert "embedding_comm" not in report.fleet.breakdown_ms
         for replica_report in report.replicas.values():
             assert set(replica_report.breakdown_ms) == {"compute", "queue"}
@@ -426,7 +461,7 @@ class TestServingProperties:
         fleet = make_fleet(
             max_batch_size=16, max_delay_s=0.002, cache_rows=256
         )
-        report = fleet.serve(reqs)
+        report = fleet.serve(reqs).fleet
         # round_robin on a sorted trace is reproducible here: replica i
         # serves requests i, i+N, i+2N, ...
         waits = []
@@ -467,7 +502,7 @@ class TestServingProperties:
             report = make_fleet(
                 router=policy, cache_rows=capacity,
                 max_batch_size=32, model=tiny_model(num_lookups=8),
-            ).serve(stream.generate())
+            ).serve(stream.generate()).fleet
             assert report.fleet.cache_hit_rate <= stream.hot_fraction(
                 capacity
             )
@@ -476,7 +511,7 @@ class TestServingProperties:
         for policy in ROUTER_POLICIES:
             report = make_fleet(router=policy, cache_rows=64).serve(
                 trace(n=700)
-            )
+            ).fleet
             for rep in [report.fleet, *report.replicas.values()]:
                 lat = rep.latency_ms
                 assert lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
