@@ -977,6 +977,14 @@ class ServingFleet:
 
         timeline = self.sim.timeline
         events_before = len(timeline.events)
+        self._replay(ordered)
+        return self._build_report(
+            ordered, stats_before, timeline, events_before
+        )
+
+    def _replay(self, ordered: List[Request]) -> None:
+        """Walk the control events one at a time; route, batch and price
+        the arrivals before each one as event-free pieces."""
         arrivals = [req.arrival_s for req in ordered]
         nxt = 0
         timeout = self.retry.timeout_s
@@ -1021,10 +1029,6 @@ class ServingFleet:
                 self._on_online(t, idx, warm_rows, fresh_cache, scale_event)
             else:  # window
                 self._on_window(t, payload)
-
-        return self._build_report(
-            ordered, stats_before, timeline, events_before
-        )
 
     # ------------------------------------------------------------------
     def _build_report(
