@@ -29,6 +29,7 @@ a boundary keeps filling in the next piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,7 +130,7 @@ class MicroBatcher:
         open_batch = carry if carry is not None else OpenBatch()
         batches: List[MicroBatch] = []
         pending, deadline = open_batch.requests, open_batch.deadline
-        for req in sorted(requests, key=lambda r: r.arrival_s):
+        for req in sorted(requests, key=attrgetter("arrival_s")):
             if pending and req.arrival_s >= deadline:
                 # Deadline fired at or before this arrival:
                 # flush-on-deadline.  The boundary is exclusive — an

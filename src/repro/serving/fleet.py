@@ -50,6 +50,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -907,7 +908,7 @@ class ServingFleet:
         field is the fleet report over the served requests)."""
         if not requests:
             raise ValueError("cannot serve an empty request trace")
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
+        ordered = sorted(requests, key=attrgetter("arrival_s"))
         self._t0 = ordered[0].arrival_s
         span = ordered[-1].arrival_s - self._t0
 
@@ -1006,7 +1007,7 @@ class ServingFleet:
                     while self._due and self._due[0][0] < end:
                         piece.append(heapq.heappop(self._due)[2])
                     # Stable: originals before retries on a tie.
-                    piece.sort(key=lambda r: r.arrival_s)
+                    piece.sort(key=attrgetter("arrival_s"))
                 self._route(piece)
             self._price_closed(horizon)
             if not self._heap:
@@ -1043,7 +1044,7 @@ class ServingFleet:
             (slot.busy_until for slot in self._slots), default=0.0
         )
         replica_reports: Dict[int, ServingReport] = {}
-        all_lats: List[float] = []
+        all_lats: List[np.ndarray] = []
         total_hits = 0
         total_misses = 0
         for slot in self._slots:
@@ -1053,7 +1054,8 @@ class ServingFleet:
             misses -= stats_before[slot.idx].misses
             total_hits += hits
             total_misses += misses
-            all_lats.extend(slot.lats)
+            lats = np.asarray(slot.lats)
+            all_lats.append(lats)
             if not slot.reqs:
                 continue
             replica_reports[slot.idx] = build_report(
@@ -1061,7 +1063,7 @@ class ServingFleet:
                 model=self.model.name,
                 requests=slot.reqs,
                 num_batches=slot.batches,
-                latencies_s=np.asarray(slot.lats),
+                latencies_s=lats,
                 last_done_s=slot.busy_until,
                 hits=hits,
                 misses=misses,
@@ -1077,7 +1079,7 @@ class ServingFleet:
             model=self.model.name,
             requests=self._served,  # only count and arrival span matter
             num_batches=self._num_batches,
-            latencies_s=np.asarray(all_lats),
+            latencies_s=np.concatenate(all_lats),
             last_done_s=last_done,
             hits=total_hits,
             misses=total_misses,
