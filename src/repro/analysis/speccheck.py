@@ -27,6 +27,7 @@ from repro.api.spec import RunSpec, SpecError
 from repro.hardware.specs import get_spec, memory_tiers
 from repro.models.configs import criteo_table_configs, tiny_table_configs
 from repro.planner import AutoPlanner
+from repro.serving import FaultConfig
 
 __all__ = [
     "SpecAnalysisError",
@@ -484,7 +485,11 @@ def _check_router_degenerate(spec: RunSpec):
 @spec_check("fault-outside-trace")
 def _check_fault_window(spec: RunSpec):
     fs = spec.faults
-    if fs is None or spec.serve is None or fs.num_faults == 0:
+    if (
+        fs is None
+        or spec.serve is None
+        or FaultConfig.from_spec(fs).num_scheduled == 0
+    ):
         return
     if fs.start_s == 0 and fs.end_s == 0:
         return  # auto window: always inside the trace

@@ -477,19 +477,7 @@ class Session:
         train = self.spec.train
         art = self.load_data()
         model = self.build_model()
-        trainer = Trainer(
-            model,
-            TrainConfig(
-                batch_size=train.batch_size,
-                epochs=train.epochs,
-                dense_lr=train.dense_lr,
-                sparse_lr=train.sparse_lr,
-                dense_optimizer=train.dense_optimizer,
-                sparse_grad_mode=train.sparse_grad_mode,
-                warmup_steps=train.warmup_steps,
-                seed=train.seed,
-            ),
-        )
+        trainer = Trainer(model, TrainConfig.from_spec(train))
         ck = self.spec.checkpoint
         on_step_end = None
         if ck is not None:
@@ -743,24 +731,9 @@ class Session:
                 model = ServingModel.from_profile(
                     baseline_profile(serve.kind)
                 )
-            stream = RequestStream(
-                WorkloadConfig(
-                    qps=serve.qps,
-                    num_requests=serve.num_requests,
-                    num_lookups=model.num_lookups,
-                    key_space=serve.key_space,
-                    skew=serve.skew,
-                    seed=serve.seed,
-                    scenario=serve.scenario,
-                    diurnal_period_s=serve.diurnal_period_s,
-                    diurnal_amplitude=serve.diurnal_amplitude,
-                    flash_start_s=serve.flash_start_s,
-                    flash_duration_s=serve.flash_duration_s,
-                    flash_factor=serve.flash_factor,
-                    churn_keys_per_s=serve.churn_keys_per_s,
-                )
-            )
-            requests = stream.generate()
+            requests = RequestStream(
+                WorkloadConfig.from_spec(serve, model.num_lookups)
+            ).generate()
             placements = (
                 ("colocated", "disaggregated")
                 if serve.placement == "both"
@@ -791,68 +764,25 @@ class Session:
             retry_cfg: Optional[RetryPolicy] = None
             recovery_cfg: Optional[RecoveryModel] = None
             if fs is not None:
-                fault_cfg = FaultConfig(
-                    seed=fs.seed,
-                    replica_crashes=fs.replica_crashes,
-                    replica_hangs=fs.replica_hangs,
-                    hang_duration_s=fs.hang_duration_s,
-                    fetch_degrades=fs.fetch_degrades,
-                    degrade_duration_s=fs.degrade_duration_s,
-                    degrade_factor=fs.degrade_factor,
-                    fetch_outages=fs.fetch_outages,
-                    outage_duration_s=fs.outage_duration_s,
-                    start_s=fs.start_s,
-                    end_s=fs.end_s,
-                )
-                retry_cfg = RetryPolicy(
-                    timeout_ms=fs.timeout_ms,
-                    max_retries=fs.max_retries,
-                    backoff_base_ms=fs.backoff_base_ms,
-                    backoff_cap_ms=fs.backoff_cap_ms,
-                    jitter=fs.backoff_jitter,
-                    retry_budget=fs.retry_budget,
-                )
+                fault_cfg = FaultConfig.from_spec(fs)
+                retry_cfg = RetryPolicy.from_spec(fs)
                 if fs.replica_crashes > 0 and fs.recover_crashes:
+                    restore: Dict[str, float] = {}
                     if ck is not None and ck.resume_from is not None:
                         # A resumable checkpoint on this cluster: price
                         # the restore leg with the actual elastic
-                        # re-placement migration instead of a constant.
-                        recovery_cfg = RecoveryModel.from_elastic_plan(
-                            self.elastic_plan(),
-                            checkpoint_period_s=fs.checkpoint_period_s,
-                            detection_s=fs.detection_ms * 1e-3,
-                            replay_rate=fs.replay_rate,
-                            warm_rows=fs.warm_rows,
+                        # re-placement migration instead of restore_ms.
+                        restore["restore_s"] = float(
+                            self.elastic_plan().migration.seconds
                         )
-                    else:
-                        recovery_cfg = RecoveryModel(
-                            detection_s=fs.detection_ms * 1e-3,
-                            restore_s=fs.restore_ms * 1e-3,
-                            checkpoint_period_s=fs.checkpoint_period_s,
-                            replay_rate=fs.replay_rate,
-                            cold_rebuild_s=fs.cold_rebuild_ms * 1e-3,
-                            warm_rows=fs.warm_rows,
-                        )
+                    recovery_cfg = RecoveryModel.from_spec(fs, **restore)
 
             def make_autoscaler() -> Optional[SLOAutoscaler]:
                 # Fresh controller per placement arm — cooldown state
                 # must not leak across arms.
                 if asp is None:
                     return None
-                return SLOAutoscaler(
-                    AutoscalePolicy(
-                        slo_p99_ms=asp.slo_p99_ms,
-                        min_replicas=asp.min_replicas,
-                        max_replicas=asp.max_replicas,
-                        window_s=asp.window_ms * 1e-3,
-                        scale_step=asp.scale_step,
-                        provision_s=asp.provision_ms * 1e-3,
-                        cooldown_windows=asp.cooldown_windows,
-                        queue_high=asp.queue_high,
-                        scale_down_margin=asp.scale_down_margin,
-                        warm_rows=asp.warm_rows,
-                    )
-                )
+                return SLOAutoscaler(AutoscalePolicy.from_spec(asp))
 
             def make_cache() -> Any:
                 if storage is not None:
@@ -863,10 +793,7 @@ class Session:
             fleet_reports, fault_reports = {}, {}
             for strategy in placements:
                 sim = SimCluster(cluster)
-                batcher = MicroBatcher(
-                    serve.max_batch_size,
-                    serve.max_queue_delay_ms * 1e-3,
-                )
+                batcher = MicroBatcher.from_spec(serve)
                 placement = Placement(strategy, emb_hosts=emb_hosts)
                 engine = (
                     TieredPlacementEngine(sim, model, placement, storage)
@@ -1016,19 +943,7 @@ class Session:
             hot = data.cardinality
             card = hot * on.table_multiplier
             model = self._make_model(cardinality=card)
-            trainer = Trainer(
-                model,
-                TrainConfig(
-                    batch_size=train.batch_size,
-                    epochs=train.epochs,
-                    dense_lr=train.dense_lr,
-                    sparse_lr=train.sparse_lr,
-                    dense_optimizer=train.dense_optimizer,
-                    sparse_grad_mode=train.sparse_grad_mode,
-                    warmup_steps=train.warmup_steps,
-                    seed=train.seed,
-                ),
-            )
+            trainer = Trainer(model, TrainConfig.from_spec(train))
 
             # The churned stream: per-feature hot-slot -> table-row
             # maps, re-pointed for a fraction of slots each boundary.
@@ -1083,24 +998,9 @@ class Session:
                 else None
             )
             serving_model = ServingModel.from_trained(model, partition)
-            stream = RequestStream(
-                WorkloadConfig(
-                    qps=serve.qps,
-                    num_requests=serve.num_requests,
-                    num_lookups=serving_model.num_lookups,
-                    key_space=serve.key_space,
-                    skew=serve.skew,
-                    seed=serve.seed,
-                    scenario=serve.scenario,
-                    diurnal_period_s=serve.diurnal_period_s,
-                    diurnal_amplitude=serve.diurnal_amplitude,
-                    flash_start_s=serve.flash_start_s,
-                    flash_duration_s=serve.flash_duration_s,
-                    flash_factor=serve.flash_factor,
-                    churn_keys_per_s=serve.churn_keys_per_s,
-                )
-            )
-            requests = stream.generate()
+            requests = RequestStream(
+                WorkloadConfig.from_spec(serve, serving_model.num_lookups)
+            ).generate()
             span_s = max(
                 requests[-1].arrival_s - requests[0].arrival_s, 1e-9
             )
@@ -1121,10 +1021,7 @@ class Session:
                     sim,
                     serving_model,
                     Placement(strategy, emb_hosts=emb_hosts),
-                    MicroBatcher(
-                        serve.max_batch_size,
-                        serve.max_queue_delay_ms * 1e-3,
-                    ),
+                    MicroBatcher.from_spec(serve),
                     router=serve.router,
                     num_replicas=serve.fleet_replicas,
                     cache_rows=serve.cache_rows,

@@ -10,17 +10,36 @@ assign features to towers (:class:`PartitionSpec`), how to train
 (:class:`ServeSpec`).  Every spec validates on construction and
 round-trips through plain dicts / JSON, so a run can be stored next to
 its results and re-executed bit-for-bit via ``dmt-repro run-spec``.
+
+The serve, train, faults and autoscale sections are validated by the
+runtime objects they map onto: each such section builds them through
+their ``from_spec`` constructors (the one place its knobs are copied
+and converted to runtime units) and reports a failure as a
+:class:`SpecError`.  A section's own checks cover only what no runtime
+object sees: cross-field placement rules and knobs that must stay at
+their defaults because the run never reads them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.hardware.specs import GPUGeneration, get_spec
+from repro.serving import (
+    ROUTER_POLICIES,
+    AutoscalePolicy,
+    FaultConfig,
+    MicroBatcher,
+    RecoveryModel,
+    RetryPolicy,
+    WorkloadConfig,
+)
+from repro.training import TrainConfig
 
 __all__ = [
     "ClusterSpec",
@@ -109,6 +128,26 @@ class _SpecBase:
             raise
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid {cls.__name__}: {exc}") from exc
+
+    @contextlib.contextmanager
+    def _runtime_checks(self) -> Iterator[None]:
+        """Report a runtime constructor's ``ValueError`` as a SpecError
+        naming this section (the wording ``from_dict`` uses)."""
+        try:
+            yield
+        except ValueError as exc:
+            raise SpecError(f"invalid {type(self).__name__}: {exc}") from exc
+
+    def _require_defaults(self, names: Tuple[str, ...], reason: str) -> None:
+        """Knobs the run never reads (``reason``) must stay at their
+        defaults, so a stored spec never pretends to change a run."""
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in names:
+            _require(
+                getattr(self, name) == defaults[name],
+                f"{name} has no effect with {reason}; leave it at its "
+                f"default ({defaults[name]!r})",
+            )
 
     def replace(self, **changes: Any) -> "_SpecBase":
         """Functional update (mirrors :func:`dataclasses.replace`)."""
@@ -329,15 +368,11 @@ class ModelSpec(_SpecBase):
             # Non-positive weights construct (the task-weight-degenerate
             # speccheck owns that diagnosis).
         if len(self.tasks) == 1:
-            # Same invariant as TrainSpec: the multi-task knobs are
-            # never read on the single-task path.
-            defaults = {f.name: f.default for f in fields(type(self))}
-            for name in ("head", "head_mlp", "task_weights"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with a single task; leave "
-                    f"it at its default ({defaults[name]!r})",
-                )
+            # The multi-task knobs are never read on the single-task
+            # path.
+            self._require_defaults(
+                ("head", "head_mlp", "task_weights"), "a single task"
+            )
 
 
 #: Strategies that require the interaction-probe -> TP pipeline.
@@ -429,24 +464,19 @@ class PartitionSpec(_SpecBase):
         _require(self.probe_samples >= 1, "probe_samples must be >= 1")
         _require(self.mds_iterations >= 1, "mds_iterations must be >= 1")
         if not self.needs_probe:
-            # Same invariant as TrainSpec: a stored spec must not
-            # pretend to configure a probe that never runs.
-            defaults = {f.name: f.default for f in fields(type(self))}
-            for name in (
-                "probe_seed",
-                "probe_epochs",
-                "probe_batch_size",
-                "probe_sparse_lr",
-                "probe_samples",
-                "mds_iterations",
-                "kmeans_seed",
-            ):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with strategy="
-                    f"{self.strategy!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
+            # No probe runs, so none of its knobs is read.
+            self._require_defaults(
+                (
+                    "probe_seed",
+                    "probe_epochs",
+                    "probe_batch_size",
+                    "probe_sparse_lr",
+                    "probe_samples",
+                    "mds_iterations",
+                    "kmeans_seed",
+                ),
+                f"strategy={self.strategy!r}",
+            )
 
     @property
     def needs_probe(self) -> bool:
@@ -467,6 +497,10 @@ class TrainSpec(_SpecBase):
     :class:`repro.core.dmt_pipeline.DistributedDMTTrainer` on a
     :class:`repro.sim.SimCluster` (optionally verifying step losses
     against single-process training on the same global batches).
+
+    The single-process knobs map once, through
+    :meth:`repro.training.TrainConfig.from_spec`, which validates them;
+    this section checks only ``mode`` and the simulated-mode knobs.
     """
 
     mode: str = "single"  # "single" | "simulated"
@@ -492,26 +526,13 @@ class TrainSpec(_SpecBase):
             self.mode in ("single", "simulated"),
             f"mode must be 'single' or 'simulated', got {self.mode!r}",
         )
-        _require(self.batch_size >= 1 and self.epochs >= 1,
-                 "batch_size and epochs must be positive")
-        _require(self.dense_lr > 0 and self.sparse_lr > 0,
-                 "learning rates must be positive")
-        _require(
-            self.dense_optimizer in ("adam", "sgd"),
-            f"unknown dense optimizer {self.dense_optimizer!r}",
-        )
-        _require(
-            self.sparse_grad_mode in ("rowwise", "dense"),
-            f"sparse_grad_mode must be 'rowwise' or 'dense', "
-            f"got {self.sparse_grad_mode!r}",
-        )
-        _require(self.warmup_steps >= 0, "warmup_steps must be >= 0")
+        with self._runtime_checks():
+            TrainConfig.from_spec(self)
         _require(self.steps >= 1, "steps must be >= 1")
         _require(self.global_batch >= 1, "global_batch must be >= 1")
-        # Each mode reads only its own knobs (plus the shared
-        # dense_lr); reject the other mode's non-default fields so a
-        # stored spec never pretends to change a run it cannot affect.
-        unused = (
+        # Each mode reads only its own knobs (plus the shared dense_lr
+        # and sparse_grad_mode).
+        self._require_defaults(
             (
                 "batch_size",
                 "epochs",
@@ -521,26 +542,14 @@ class TrainSpec(_SpecBase):
                 "seed",
             )
             if self.mode == "simulated"
-            else ("steps", "global_batch", "step_seed", "verify")
+            else ("steps", "global_batch", "step_seed", "verify"),
+            f"mode={self.mode!r}",
         )
-        defaults = {f.name: f.default for f in fields(type(self))}
-        for name in unused:
-            _require(
-                getattr(self, name) == defaults[name],
-                f"{name} has no effect with mode={self.mode!r}; "
-                f"leave it at its default ({defaults[name]!r})",
-            )
 
 
 #: Placement arms the serving stage understands ("both" runs the
 #: comparison on one shared request trace).
 SERVE_PLACEMENTS = ("colocated", "disaggregated", "both")
-#: Arrival-process scenarios (mirrors repro.serving.workload.SCENARIOS;
-#: kept literal here so specs stay importable without the serving
-#: stack — a sync test guards the duplication).
-SERVE_SCENARIOS = ("poisson", "diurnal", "flash")
-#: Fleet router policies (mirrors repro.serving.fleet.ROUTER_POLICIES).
-SERVE_ROUTERS = ("round_robin", "hash", "p2c")
 
 
 @dataclass(frozen=True)
@@ -557,12 +566,17 @@ class ServeSpec(_SpecBase):
 
     ``scenario`` shapes the arrival process (stationary Poisson,
     diurnal sinusoid, or a flash crowd) and ``churn_keys_per_s`` drifts
-    the popularity ranking — both feed straight into
-    :class:`repro.serving.WorkloadConfig`.  Setting ``fleet_replicas``
-    switches the stage from the single :class:`InferenceService` to a
+    the popularity ranking.  Setting ``fleet_replicas`` switches the
+    stage from the single :class:`InferenceService` to a
     :class:`~repro.serving.fleet.ServingFleet` of that many replicas
     (each with its own ``cache_rows``-row cache and batcher queue),
     routed by ``router``.
+
+    The stream and batching knobs map once, through
+    :meth:`repro.serving.WorkloadConfig.from_spec` and
+    :meth:`repro.serving.MicroBatcher.from_spec`, and those runtime
+    objects validate them; this section checks only the model kind,
+    the cache against the key space, placement and the fleet.
     """
 
     kind: str = "dlrm"  # "dlrm" | "dcn" (profile when nothing is trained)
@@ -593,15 +607,10 @@ class ServeSpec(_SpecBase):
             self.kind in ("dlrm", "dcn"),
             f"kind must be 'dlrm' or 'dcn', got {self.kind!r}",
         )
-        _require(self.qps > 0, f"qps must be positive, got {self.qps}")
-        _require(self.num_requests >= 1, "num_requests must be >= 1")
-        _require(self.key_space >= 1, "key_space must be >= 1")
-        _require(self.skew >= 0, f"skew must be >= 0, got {self.skew}")
-        _require(self.max_batch_size >= 1, "max_batch_size must be >= 1")
-        _require(
-            self.max_queue_delay_ms >= 0,
-            "max_queue_delay_ms must be >= 0",
-        )
+        with self._runtime_checks():
+            # The served model fixes num_lookups at serve time.
+            WorkloadConfig.from_spec(self, num_lookups=1)
+            MicroBatcher.from_spec(self)
         _require(self.cache_rows >= 0, "cache_rows must be >= 0")
         # Bugfix: a cache larger than the key space it fronts used to
         # slip through to the serving stage, where the LRU silently
@@ -624,67 +633,26 @@ class ServeSpec(_SpecBase):
             "emb_hosts must be >= 1 when given",
         )
         _require(
-            self.scenario in SERVE_SCENARIOS,
-            f"unknown scenario {self.scenario!r}; expected one of "
-            f"{SERVE_SCENARIOS}",
-        )
-        _require(
-            self.diurnal_period_s > 0, "diurnal_period_s must be positive"
-        )
-        _require(
-            0.0 <= self.diurnal_amplitude <= 1.0,
-            f"diurnal_amplitude must be in [0, 1], got "
-            f"{self.diurnal_amplitude}",
-        )
-        _require(
-            self.flash_start_s >= 0 and self.flash_duration_s >= 0,
-            "flash window must be non-negative",
-        )
-        _require(
-            self.flash_factor >= 1.0,
-            f"flash_factor must be >= 1, got {self.flash_factor}",
-        )
-        _require(
-            self.scenario != "flash" or self.flash_duration_s > 0,
-            "scenario 'flash' needs flash_duration_s > 0",
-        )
-        _require(
-            self.churn_keys_per_s >= 0, "churn_keys_per_s must be >= 0"
-        )
-        _require(
             self.fleet_replicas is None or self.fleet_replicas >= 1,
             "fleet_replicas must be >= 1 when given",
         )
         _require(
-            self.router in SERVE_ROUTERS,
+            self.router in ROUTER_POLICIES,
             f"unknown router {self.router!r}; expected one of "
-            f"{SERVE_ROUTERS}",
+            f"{ROUTER_POLICIES}",
         )
-        # Same invariant as TrainSpec: a stored spec must not pretend
-        # to configure knobs its scenario/stage never reads.
-        defaults = {f.name: f.default for f in fields(type(self))}
         if self.scenario != "diurnal":
-            for name in ("diurnal_period_s", "diurnal_amplitude"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with scenario="
-                    f"{self.scenario!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
-        if self.scenario != "flash":
-            for name in ("flash_start_s", "flash_duration_s", "flash_factor"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with scenario="
-                    f"{self.scenario!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
-        if self.fleet_replicas is None:
-            _require(
-                self.router == defaults["router"],
-                "router has no effect without fleet_replicas; leave it "
-                f"at its default ({defaults['router']!r})",
+            self._require_defaults(
+                ("diurnal_period_s", "diurnal_amplitude"),
+                f"scenario={self.scenario!r}",
             )
+        if self.scenario != "flash":
+            self._require_defaults(
+                ("flash_start_s", "flash_duration_s", "flash_factor"),
+                f"scenario={self.scenario!r}",
+            )
+        if self.fleet_replicas is None:
+            self._require_defaults(("router",), "fleet_replicas=None")
 
     @property
     def uses_fleet(self) -> bool:
@@ -835,6 +803,12 @@ class FaultSpec(_SpecBase):
     :class:`repro.serving.RecoveryModel` that prices MTTR against
     checkpoint cadence.  Requires ``serve.fleet_replicas`` — faults are
     a fleet story.
+
+    Each half maps once, through the runtime class's ``from_spec``
+    (which also converts the ``*_ms`` knobs to seconds), and those
+    classes validate it; this section checks only ``stale_penalty``
+    (a fleet argument) and that knobs of absent faults stay at their
+    defaults.
     """
 
     seed: int = 0
@@ -868,135 +842,44 @@ class FaultSpec(_SpecBase):
     warm_rows: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        for name in (
-            "replica_crashes",
-            "replica_hangs",
-            "fetch_degrades",
-            "fetch_outages",
-        ):
-            _require(
-                getattr(self, name) >= 0, f"{name} must be >= 0"
-            )
-        _require(
-            self.replica_hangs == 0 or self.hang_duration_s > 0,
-            "replica_hangs > 0 needs hang_duration_s > 0",
-        )
-        _require(
-            self.fetch_degrades == 0 or self.degrade_duration_s > 0,
-            "fetch_degrades > 0 needs degrade_duration_s > 0",
-        )
-        _require(
-            self.fetch_outages == 0 or self.outage_duration_s > 0,
-            "fetch_outages > 0 needs outage_duration_s > 0",
-        )
-        _require(
-            self.degrade_factor >= 1.0,
-            f"degrade_factor must be >= 1, got {self.degrade_factor}",
-        )
-        _require(
-            self.start_s >= 0 and self.end_s >= 0,
-            "injection window must be >= 0",
-        )
-        _require(
-            self.end_s == 0 or self.end_s > self.start_s,
-            f"injection window end ({self.end_s}) must be after its "
-            f"start ({self.start_s})",
-        )
-        _require(
-            self.timeout_ms > 0,
-            f"timeout_ms must be positive, got {self.timeout_ms}",
-        )
-        _require(
-            self.max_retries >= 0,
-            f"max_retries must be >= 0, got {self.max_retries}",
-        )
-        _require(
-            self.backoff_base_ms >= 0 and self.backoff_cap_ms >= 0,
-            "backoff must be >= 0",
-        )
-        _require(
-            self.backoff_cap_ms >= self.backoff_base_ms,
-            f"backoff_cap_ms ({self.backoff_cap_ms}) must be >= "
-            f"backoff_base_ms ({self.backoff_base_ms})",
-        )
-        _require(
-            0.0 <= self.backoff_jitter <= 1.0,
-            f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}",
-        )
-        _require(
-            self.retry_budget >= 0,
-            f"retry_budget must be >= 0, got {self.retry_budget}",
-        )
+        with self._runtime_checks():
+            FaultConfig.from_spec(self)
+            RetryPolicy.from_spec(self)
+            RecoveryModel.from_spec(self)
         _require(
             self.stale_penalty >= 0,
             f"stale_penalty must be >= 0, got {self.stale_penalty}",
         )
-        for name in (
-            "detection_ms",
-            "restore_ms",
-            "checkpoint_period_s",
-            "replay_rate",
-            "cold_rebuild_ms",
-        ):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
-        _require(
-            self.warm_rows >= 0,
-            f"warm_rows must be >= 0, got {self.warm_rows}",
-        )
-        # Same invariant as ServeSpec: unused knobs stay at defaults.
-        defaults = {f.name: f.default for f in fields(type(self))}
         if self.replica_hangs == 0:
-            _require(
-                self.hang_duration_s == defaults["hang_duration_s"],
-                "hang_duration_s has no effect with replica_hangs=0; "
-                "leave it at its default",
-            )
+            self._require_defaults(("hang_duration_s",), "replica_hangs=0")
         if self.fetch_degrades == 0:
-            for name in ("degrade_duration_s", "degrade_factor"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with fetch_degrades=0; "
-                    f"leave it at its default ({defaults[name]!r})",
-                )
-        if self.fetch_outages == 0:
-            _require(
-                self.outage_duration_s == defaults["outage_duration_s"],
-                "outage_duration_s has no effect with fetch_outages=0; "
-                "leave it at its default",
+            self._require_defaults(
+                ("degrade_duration_s", "degrade_factor"), "fetch_degrades=0"
             )
+        if self.fetch_outages == 0:
+            self._require_defaults(("outage_duration_s",), "fetch_outages=0")
         if self.replica_crashes == 0:
-            for name in (
-                "recover_crashes",
-                "detection_ms",
-                "restore_ms",
-                "checkpoint_period_s",
-                "replay_rate",
-                "cold_rebuild_ms",
-                "warm_rows",
-            ):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with replica_crashes=0; "
-                    f"leave it at its default ({defaults[name]!r})",
-                )
-
-    @property
-    def num_faults(self) -> int:
-        """Total faults the schedule will inject."""
-        return (
-            self.replica_crashes
-            + self.replica_hangs
-            + self.fetch_degrades
-            + self.fetch_outages
-        )
+            self._require_defaults(
+                (
+                    "recover_crashes",
+                    "detection_ms",
+                    "restore_ms",
+                    "checkpoint_period_s",
+                    "replay_rate",
+                    "cold_rebuild_ms",
+                    "warm_rows",
+                ),
+                "replica_crashes=0",
+            )
 
 
 @dataclass(frozen=True)
 class AutoscaleSpec(_SpecBase):
     """Closed-loop SLO autoscaling over the serving fleet.
 
-    Becomes a :class:`repro.serving.AutoscalePolicy`: the fleet starts
+    Becomes a :class:`repro.serving.AutoscalePolicy` through
+    :meth:`~repro.serving.AutoscalePolicy.from_spec`, which converts
+    the ``*_ms`` knobs to seconds and validates them: the fleet starts
     at ``serve.fleet_replicas`` and the controller moves it inside
     ``[min_replicas, max_replicas]`` on windowed p99/queue-depth
     evidence.  ``min_replicas > max_replicas`` is *not* rejected here —
@@ -1016,47 +899,16 @@ class AutoscaleSpec(_SpecBase):
     warm_rows: int = 0
 
     def __post_init__(self) -> None:
-        _require(
-            self.slo_p99_ms > 0,
-            f"slo_p99_ms must be positive, got {self.slo_p99_ms}",
-        )
-        _require(
-            self.min_replicas >= 1,
-            f"min_replicas must be >= 1, got {self.min_replicas}",
-        )
+        # The policy checks max_replicas >= min_replicas >= 1; with the
+        # bounds allowed to invert, max_replicas needs its own floor.
         _require(
             self.max_replicas >= 1,
             f"max_replicas must be >= 1, got {self.max_replicas}",
         )
-        _require(
-            self.window_ms >= 0,
-            f"window_ms must be >= 0, got {self.window_ms}",
-        )
-        _require(
-            self.scale_step >= 1,
-            f"scale_step must be >= 1, got {self.scale_step}",
-        )
-        _require(
-            self.provision_ms >= 0,
-            f"provision_ms must be >= 0, got {self.provision_ms}",
-        )
-        _require(
-            self.cooldown_windows >= 0,
-            f"cooldown_windows must be >= 0, got {self.cooldown_windows}",
-        )
-        _require(
-            self.queue_high > 0,
-            f"queue_high must be positive, got {self.queue_high}",
-        )
-        _require(
-            0.0 < self.scale_down_margin < 1.0,
-            f"scale_down_margin must be in (0, 1), got "
-            f"{self.scale_down_margin}",
-        )
-        _require(
-            self.warm_rows >= 0,
-            f"warm_rows must be >= 0, got {self.warm_rows}",
-        )
+        with self._runtime_checks():
+            AutoscalePolicy.from_spec(
+                self, max_replicas=max(self.min_replicas, self.max_replicas)
+            )
 
 
 @dataclass(frozen=True)

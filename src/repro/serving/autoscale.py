@@ -28,12 +28,17 @@ window metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Knobs of the SLO-driven replica autoscaler."""
+    """Knobs of the SLO-driven replica autoscaler.
+
+    :meth:`from_spec` is the one mapping from an ``autoscale`` spec
+    section; the checks in ``__post_init__`` are the only validation
+    those knobs get.
+    """
 
     slo_p99_ms: float = 5.0  # the windowed p99 target being defended
     min_replicas: int = 1
@@ -88,6 +93,28 @@ class AutoscalePolicy:
             raise ValueError(
                 f"warm_rows must be >= 0, got {self.warm_rows}"
             )
+
+    @classmethod
+    def from_spec(cls, autoscale: Any, **overrides: Any) -> "AutoscalePolicy":
+        """The policy an ``autoscale`` spec section describes.
+
+        ``autoscale`` is read duck-typed (this package never imports
+        :mod:`repro.api`); ``overrides`` replace mapped fields.
+        """
+        kwargs = dict(
+            slo_p99_ms=autoscale.slo_p99_ms,
+            min_replicas=autoscale.min_replicas,
+            max_replicas=autoscale.max_replicas,
+            window_s=autoscale.window_ms * 1e-3,
+            scale_step=autoscale.scale_step,
+            provision_s=autoscale.provision_ms * 1e-3,
+            cooldown_windows=autoscale.cooldown_windows,
+            queue_high=autoscale.queue_high,
+            scale_down_margin=autoscale.scale_down_margin,
+            warm_rows=autoscale.warm_rows,
+        )
+        kwargs.update(overrides)
+        return cls(**kwargs)
 
 
 class SLOAutoscaler:

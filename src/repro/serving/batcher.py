@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +113,12 @@ class MicroBatcher:
             raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self.max_batch_size = max_batch_size
         self.max_delay_s = max_delay_s
+
+    @classmethod
+    def from_spec(cls, serve: Any) -> "MicroBatcher":
+        """The batcher a ``serve`` spec section describes (read
+        duck-typed)."""
+        return cls(serve.max_batch_size, serve.max_queue_delay_ms * 1e-3)
 
     def form_batches(
         self,

@@ -20,10 +20,16 @@ first-class, **bit-reproducible** part of the replay:
   replica: failure detection, checkpoint restore, and delta replay
   proportional to half the checkpoint period (expected staleness), so
   reported MTTR decreases monotonically with checkpoint cadence.
-  :meth:`RecoveryModel.from_elastic_plan` prices the restore leg with
-  the checkpoint plane's elastic-restore migration timing;
+  :meth:`RecoveryModel.from_spec` can price the restore leg with the
+  checkpoint plane's elastic-restore migration timing;
 - :class:`SwapEvent` — a planned hot swap of one replica onto a new
   model version.
+
+``FaultConfig``, ``RetryPolicy`` and ``RecoveryModel`` each have one
+``from_spec`` constructor: the single mapping (with its ms→s
+conversions) from a ``faults`` spec section, read duck-typed so this
+package never imports :mod:`repro.api`.  Their ``__post_init__`` checks
+are the only validation those knobs get.
 
 The one fleet replay engine, :class:`~repro.serving.fleet.ServingFleet`,
 takes all of these as constructor arguments and replays them as
@@ -139,6 +145,8 @@ class FaultConfig:
     events: Tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in (
             "replica_crashes",
             "replica_hangs",
@@ -164,12 +172,29 @@ class FaultConfig:
                 f"degrade_factor must be >= 1, got {self.degrade_factor}"
             )
         if self.start_s < 0 or self.end_s < 0:
-            raise ValueError("injection window must be >= 0")
+            raise ValueError("start_s and end_s must be >= 0")
         if self.end_s > 0 and self.end_s <= self.start_s:
             raise ValueError(
-                f"injection window end ({self.end_s}) must be after its "
-                f"start ({self.start_s})"
+                f"injection window end_s ({self.end_s}) must be after "
+                f"its start_s ({self.start_s})"
             )
+
+    @classmethod
+    def from_spec(cls, faults: Any) -> "FaultConfig":
+        """The schedule half of a ``faults`` spec section."""
+        return cls(
+            seed=faults.seed,
+            replica_crashes=faults.replica_crashes,
+            replica_hangs=faults.replica_hangs,
+            hang_duration_s=faults.hang_duration_s,
+            fetch_degrades=faults.fetch_degrades,
+            degrade_duration_s=faults.degrade_duration_s,
+            degrade_factor=faults.degrade_factor,
+            fetch_outages=faults.fetch_outages,
+            outage_duration_s=faults.outage_duration_s,
+            start_s=faults.start_s,
+            end_s=faults.end_s,
+        )
 
     @property
     def num_scheduled(self) -> int:
@@ -320,7 +345,9 @@ class RetryPolicy:
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
         if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
-            raise ValueError("backoff must be >= 0")
+            raise ValueError(
+                "backoff_base_ms and backoff_cap_ms must be >= 0"
+            )
         if self.backoff_cap_ms < self.backoff_base_ms:
             raise ValueError(
                 f"backoff_cap_ms ({self.backoff_cap_ms}) must be >= "
@@ -334,6 +361,18 @@ class RetryPolicy:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
             )
+
+    @classmethod
+    def from_spec(cls, faults: Any) -> "RetryPolicy":
+        """The client half of a ``faults`` spec section."""
+        return cls(
+            timeout_ms=faults.timeout_ms,
+            max_retries=faults.max_retries,
+            backoff_base_ms=faults.backoff_base_ms,
+            backoff_cap_ms=faults.backoff_cap_ms,
+            jitter=faults.backoff_jitter,
+            retry_budget=faults.retry_budget,
+        )
 
     @property
     def timeout_s(self) -> float:
@@ -398,29 +437,25 @@ class RecoveryModel:
         )
 
     @classmethod
-    def from_elastic_plan(
-        cls,
-        plan: Any,
-        checkpoint_period_s: float,
-        detection_s: float = 0.001,
-        replay_rate: float = 0.5,
-        warm_rows: int = 0,
-    ) -> "RecoveryModel":
-        """Price the restore leg with an elastic-restore plan.
+    def from_spec(cls, faults: Any, **overrides: Any) -> "RecoveryModel":
+        """The crash-recovery half of a ``faults`` spec section.
 
-        ``plan`` is a
-        :class:`~repro.checkpoint.elastic.ElasticRestorePlan` — its
-        priced shard-migration timing becomes ``restore_s``, so MTTR
-        reflects the actual bytes the recovery has to move on this
-        cluster rather than a guessed constant.
+        ``overrides`` replace mapped fields; a resumable checkpoint
+        passes ``restore_s=plan.migration.seconds`` from its
+        :class:`~repro.checkpoint.elastic.ElasticRestorePlan`, so MTTR
+        prices the bytes the recovery actually moves on this cluster
+        rather than the ``restore_ms`` constant.
         """
-        return cls(
-            detection_s=detection_s,
-            restore_s=float(plan.migration.seconds),
-            checkpoint_period_s=checkpoint_period_s,
-            replay_rate=replay_rate,
-            warm_rows=warm_rows,
+        kwargs = dict(
+            detection_s=faults.detection_ms * 1e-3,
+            restore_s=faults.restore_ms * 1e-3,
+            checkpoint_period_s=faults.checkpoint_period_s,
+            replay_rate=faults.replay_rate,
+            cold_rebuild_s=faults.cold_rebuild_ms * 1e-3,
+            warm_rows=faults.warm_rows,
         )
+        kwargs.update(overrides)
+        return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ cache-hostile worst case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -88,7 +88,12 @@ class Request:
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Knobs of one synthetic request stream."""
+    """Knobs of one synthetic request stream.
+
+    :meth:`from_spec` is the one mapping from a ``serve`` spec section;
+    the checks in ``__post_init__`` are the only validation those knobs
+    get.
+    """
 
     qps: float = 1000.0
     num_requests: int = 1000
@@ -129,7 +134,9 @@ class WorkloadConfig:
                 f"{self.diurnal_amplitude}"
             )
         if self.flash_start_s < 0 or self.flash_duration_s < 0:
-            raise ValueError("flash window must be non-negative")
+            raise ValueError(
+                "flash_start_s and flash_duration_s must be >= 0"
+            )
         if self.flash_factor < 1.0:
             raise ValueError(
                 f"flash_factor must be >= 1, got {self.flash_factor}"
@@ -140,6 +147,29 @@ class WorkloadConfig:
             )
         if self.churn_keys_per_s < 0:
             raise ValueError("churn_keys_per_s must be >= 0")
+
+    @classmethod
+    def from_spec(cls, serve: Any, num_lookups: int) -> "WorkloadConfig":
+        """The stream a ``serve`` spec section describes.
+
+        ``serve`` is read duck-typed (this package never imports
+        :mod:`repro.api`); the served model fixes ``num_lookups``.
+        """
+        return cls(
+            qps=serve.qps,
+            num_requests=serve.num_requests,
+            num_lookups=num_lookups,
+            key_space=serve.key_space,
+            skew=serve.skew,
+            seed=serve.seed,
+            scenario=serve.scenario,
+            diurnal_period_s=serve.diurnal_period_s,
+            diurnal_amplitude=serve.diurnal_amplitude,
+            flash_start_s=serve.flash_start_s,
+            flash_duration_s=serve.flash_duration_s,
+            flash_factor=serve.flash_factor,
+            churn_keys_per_s=serve.churn_keys_per_s,
+        )
 
 
 class RequestStream:

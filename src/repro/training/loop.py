@@ -73,17 +73,43 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
-        if self.dense_lr <= 0 or self.sparse_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("dense_lr", "sparse_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
         if self.dense_optimizer not in ("adam", "sgd"):
             raise ValueError(
-                f"unknown dense optimizer {self.dense_optimizer!r}"
+                f"unknown dense_optimizer {self.dense_optimizer!r}; "
+                f"expected 'adam' or 'sgd'"
             )
         if self.sparse_grad_mode not in SPARSE_GRAD_MODES:
             raise ValueError(
                 f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, "
                 f"got {self.sparse_grad_mode!r}"
             )
+        if self.warmup_steps < 0:
+            raise ValueError(
+                f"warmup_steps must be >= 0, got {self.warmup_steps}"
+            )
+
+    @classmethod
+    def from_spec(cls, train: Any) -> "TrainConfig":
+        """The single-process config a ``train`` spec section describes.
+
+        ``train`` is read duck-typed (this package never imports
+        :mod:`repro.api`); this is the only place its knobs are copied.
+        """
+        return cls(
+            batch_size=train.batch_size,
+            epochs=train.epochs,
+            dense_lr=train.dense_lr,
+            sparse_lr=train.sparse_lr,
+            dense_optimizer=train.dense_optimizer,
+            sparse_grad_mode=train.sparse_grad_mode,
+            warmup_steps=train.warmup_steps,
+            seed=train.seed,
+        )
 
 
 @dataclass

@@ -19,6 +19,7 @@ from repro.api import (
     CheckpointSpec,
     ClusterSpec,
     DataSpec,
+    FaultSpec,
     ModelSpec,
     RunSpec,
     ServeSpec,
@@ -535,6 +536,33 @@ class TestSessionIntegration:
         result = session.run()
         assert result.checkpoint["elastic"]["target_world"] == 8
         assert "elastic restore" in result.render()
+
+    def test_elastic_recovery_keeps_cold_rebuild_knob(self, tmp_path):
+        """With a resumable checkpoint the restore leg is the elastic
+        plan's migration, but every other recovery knob still maps: with
+        no checkpoint cadence MTTR is detection + cold_rebuild_ms."""
+        spec = _session_spec(tmp_path)
+        path = Session(spec).save_checkpoint(str(tmp_path / "src-mttr"))
+        serving = spec.replace(
+            checkpoint=spec.checkpoint.replace(resume_from=path),
+            serve=ServeSpec(
+                placement="colocated",
+                qps=50_000.0,
+                num_requests=400,
+                key_space=2_000,
+                cache_rows=256,
+                fleet_replicas=2,
+            ),
+            faults=FaultSpec(
+                seed=1,
+                replica_crashes=1,
+                detection_ms=1.0,
+                checkpoint_period_s=0.0,
+                cold_rebuild_ms=7.0,
+            ),
+        )
+        report = Session(serving).serve().fault_reports["colocated"]
+        assert report.mttr_s == pytest.approx(1e-3 + 7e-3)
 
     def test_resume_on_changed_data_section_refused(self, tmp_path):
         """A resumed run over different data cannot claim bit-identity;

@@ -199,16 +199,12 @@ class TestRecoveryModel:
         ).mttr_s()
         assert all(m < cold for m in mttrs)
 
-    def test_from_elastic_plan_prices_the_restore_leg(self):
-        class _Migration:
-            seconds = 0.007
-
-        class _Plan:
-            migration = _Migration()
-
-        model = RecoveryModel.from_elastic_plan(
-            _Plan(), checkpoint_period_s=0.004, detection_s=1e-3
+    def test_from_spec_restore_override_prices_the_restore_leg(self):
+        faults = FaultSpec(
+            replica_crashes=1, checkpoint_period_s=0.004, detection_ms=1.0
         )
+        # An elastic-restore plan's migration seconds replace restore_ms.
+        model = RecoveryModel.from_spec(faults, restore_s=0.007)
         assert model.restore_s == pytest.approx(0.007)
         assert model.mttr_s() == pytest.approx(1e-3 + 0.007 + 0.001)
 

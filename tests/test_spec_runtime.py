@@ -5,7 +5,9 @@ runtime objects they map onto.  The rejection table pins that every
 knob those sections validate still rejects an out-of-range value, from
 direct construction and from ``RunSpec.from_dict``, with a message that
 names the knob (by its spec name or, where units differ, its runtime
-name).
+name).  The mapping-equivalence tests pin each ``from_spec`` mapping,
+ms→s conversions included, against runtime objects written out by
+hand for the experiments' own specs.
 """
 
 import pytest
@@ -18,6 +20,18 @@ from repro.api import (
     SpecError,
     TrainSpec,
 )
+from repro.experiments.fault_tolerance import cadence_spec, mitigated_spec
+from repro.experiments.model_freshness import freshness_spec
+from repro.experiments.serving_fleet import fleet_spec
+from repro.serving import (
+    AutoscalePolicy,
+    FaultConfig,
+    MicroBatcher,
+    RecoveryModel,
+    RetryPolicy,
+    WorkloadConfig,
+)
+from repro.training import TrainConfig
 
 _FLASH = dict(scenario="flash", flash_duration_s=0.001)
 _DIURNAL = dict(scenario="diurnal")
@@ -57,12 +71,7 @@ REJECTIONS = [
         dict(_DIURNAL, diurnal_amplitude=1.5),
         ("diurnal_amplitude",),
     ),
-    (
-        "serve",
-        ServeSpec,
-        dict(_FLASH, flash_start_s=-1.0),
-        ("flash_start_s", "flash window"),
-    ),
+    ("serve", ServeSpec, dict(_FLASH, flash_start_s=-1.0), ("flash_start_s",)),
     (
         "serve",
         ServeSpec,
@@ -72,28 +81,18 @@ REJECTIONS = [
     ("serve", ServeSpec, dict(_FLASH, flash_factor=0.5), ("flash_factor",)),
     ("serve", ServeSpec, dict(churn_keys_per_s=-1.0), ("churn_keys_per_s",)),
     ("serve", ServeSpec, dict(fleet_replicas=0), ("fleet_replicas",)),
-    (
-        "serve",
-        ServeSpec,
-        dict(fleet_replicas=2, router="random"),
-        ("router",),
-    ),
+    ("serve", ServeSpec, dict(fleet_replicas=2, router="random"), ("router",)),
     # TrainSpec
     ("train", TrainSpec, dict(mode="async"), ("mode",)),
     ("train", TrainSpec, dict(batch_size=0), ("batch_size",)),
     ("train", TrainSpec, dict(epochs=0), ("epochs",)),
-    ("train", TrainSpec, dict(dense_lr=0.0), ("dense_lr", "learning rates")),
-    (
-        "train",
-        TrainSpec,
-        dict(sparse_lr=-1.0),
-        ("sparse_lr", "learning rates"),
-    ),
+    ("train", TrainSpec, dict(dense_lr=0.0), ("dense_lr",)),
+    ("train", TrainSpec, dict(sparse_lr=-1.0), ("sparse_lr",)),
     (
         "train",
         TrainSpec,
         dict(dense_optimizer="rmsprop"),
-        ("dense_optimizer", "dense optimizer"),
+        ("dense_optimizer",),
     ),
     ("train", TrainSpec, dict(sparse_grad_mode="csr"), ("sparse_grad_mode",)),
     ("train", TrainSpec, dict(warmup_steps=-1), ("warmup_steps",)),
@@ -129,27 +128,12 @@ REJECTIONS = [
         dict(fetch_outages=1, outage_duration_s=0.0),
         ("outage_duration_s",),
     ),
-    (
-        "faults",
-        FaultSpec,
-        dict(start_s=-1.0),
-        ("start_s", "injection window"),
-    ),
-    (
-        "faults",
-        FaultSpec,
-        dict(start_s=0.002, end_s=0.001),
-        ("end_s", "injection window end"),
-    ),
+    ("faults", FaultSpec, dict(start_s=-1.0), ("start_s",)),
+    ("faults", FaultSpec, dict(start_s=0.002, end_s=0.001), ("end_s",)),
     # FaultSpec: client retries
     ("faults", FaultSpec, dict(timeout_ms=0.0), ("timeout_ms",)),
     ("faults", FaultSpec, dict(max_retries=-1), ("max_retries",)),
-    (
-        "faults",
-        FaultSpec,
-        dict(backoff_base_ms=-1.0),
-        ("backoff_base_ms", "backoff"),
-    ),
+    ("faults", FaultSpec, dict(backoff_base_ms=-1.0), ("backoff_base_ms",)),
     ("faults", FaultSpec, dict(backoff_cap_ms=0.1), ("backoff_cap_ms",)),
     (
         "faults",
@@ -286,3 +270,211 @@ class TestRejectionTable:
         loaded = RunSpec.from_dict(data)
         assert loaded.autoscale == spec
         assert RunSpec.from_json(loaded.to_json()) == loaded
+
+
+# ----------------------------------------------------------------------
+def _batcher_knobs(batcher: MicroBatcher):
+    return batcher.max_batch_size, batcher.max_delay_s
+
+
+class TestMappingEquivalence:
+    """``from_spec`` objects equal the hand-built runtime objects."""
+
+    def test_fault_tolerance_mitigated_arm(self):
+        spec = mitigated_spec(150_000, 3)
+        span = 150_000 / 4_000_000.0
+        assert WorkloadConfig.from_spec(spec.serve, 26) == WorkloadConfig(
+            qps=4_000_000.0,
+            num_requests=150_000,
+            num_lookups=26,
+            key_space=20_000,
+            skew=1.2,
+            seed=0,
+            scenario="flash",
+            flash_start_s=0.4 * span,
+            flash_duration_s=0.3 * span,
+            flash_factor=2.5,
+        )
+        assert _batcher_knobs(MicroBatcher.from_spec(spec.serve)) == (
+            64,
+            1.0 * 1e-3,
+        )
+        assert FaultConfig.from_spec(spec.faults) == FaultConfig(
+            seed=3,
+            replica_crashes=3,
+            start_s=0.42 * span,
+            end_s=0.65 * span,
+        )
+        assert RetryPolicy.from_spec(spec.faults) == RetryPolicy(
+            timeout_ms=0.5,
+            max_retries=3,
+            backoff_base_ms=0.25,
+            backoff_cap_ms=2.0,
+            jitter=0.5,
+            retry_budget=0.25,
+        )
+        assert RecoveryModel.from_spec(spec.faults) == RecoveryModel(
+            detection_s=0.3 * 1e-3,
+            restore_s=0.3 * 1e-3,
+            checkpoint_period_s=0.002,
+            replay_rate=0.5,
+            cold_rebuild_s=5.0 * 1e-3,
+            warm_rows=8192,
+        )
+        assert AutoscalePolicy.from_spec(spec.autoscale) == AutoscalePolicy(
+            slo_p99_ms=1.0,
+            min_replicas=3,
+            max_replicas=4,
+            window_s=0.0 * 1e-3,
+            scale_step=1,
+            provision_s=0.3 * 1e-3,
+            cooldown_windows=1,
+            queue_high=16.0,
+            scale_down_margin=0.5,
+            warm_rows=8192,
+        )
+
+    def test_fault_tolerance_cadence_arm(self):
+        spec = cadence_spec(0.004, 30_000)
+        span = 30_000 / 4_000_000.0
+        assert WorkloadConfig.from_spec(spec.serve, 13) == WorkloadConfig(
+            qps=4_000_000.0,
+            num_requests=30_000,
+            num_lookups=13,
+            key_space=20_000,
+            skew=1.2,
+        )
+        assert FaultConfig.from_spec(spec.faults) == FaultConfig(
+            seed=11,
+            replica_crashes=1,
+            start_s=0.3 * span,
+            end_s=0.5 * span,
+        )
+        assert RetryPolicy.from_spec(spec.faults) == RetryPolicy(
+            timeout_ms=0.5
+        )
+        assert RecoveryModel.from_spec(spec.faults) == RecoveryModel(
+            detection_s=0.3 * 1e-3,
+            restore_s=0.3 * 1e-3,
+            checkpoint_period_s=0.004,
+            replay_rate=0.5,
+            cold_rebuild_s=5.0 * 1e-3,
+            warm_rows=8192,
+        )
+
+    @pytest.mark.parametrize("router", ["round_robin", "hash", "p2c"])
+    def test_serving_fleet_arms(self, router):
+        spec = fleet_spec(router, 200_000.0, 20_000)
+        span = 20_000 / 1_000_000.0
+        assert WorkloadConfig.from_spec(spec.serve, 26) == WorkloadConfig(
+            qps=1_000_000.0,
+            num_requests=20_000,
+            num_lookups=26,
+            key_space=100_000,
+            skew=1.0,
+            seed=0,
+            scenario="flash",
+            flash_start_s=0.4 * span,
+            flash_duration_s=0.2 * span,
+            flash_factor=5.0,
+            churn_keys_per_s=200_000.0,
+        )
+        assert _batcher_knobs(MicroBatcher.from_spec(spec.serve)) == (
+            64,
+            1.0 * 1e-3,
+        )
+
+    def test_model_freshness_spec(self):
+        spec = freshness_spec(fast=True)
+        assert TrainConfig.from_spec(spec.train) == TrainConfig(
+            batch_size=64,
+            epochs=1,
+            dense_lr=1e-3,
+            sparse_lr=0.03,
+            dense_optimizer="adam",
+            sparse_grad_mode="rowwise",
+            warmup_steps=0,
+            seed=0,
+        )
+        assert WorkloadConfig.from_spec(spec.serve, 6) == WorkloadConfig(
+            qps=50_000.0,
+            num_requests=3_000,
+            num_lookups=6,
+            key_space=4_000,
+        )
+        assert _batcher_knobs(MicroBatcher.from_spec(spec.serve)) == (
+            64,
+            1.0 * 1e-3,
+        )
+
+    def test_every_recovery_knob(self):
+        faults = FaultSpec(
+            replica_crashes=2,
+            recover_crashes=True,
+            detection_ms=0.7,
+            restore_ms=1.3,
+            checkpoint_period_s=0.003,
+            replay_rate=0.25,
+            cold_rebuild_ms=12.5,
+            warm_rows=64,
+        )
+        expected = RecoveryModel(
+            detection_s=0.7 * 1e-3,
+            restore_s=1.3 * 1e-3,
+            checkpoint_period_s=0.003,
+            replay_rate=0.25,
+            cold_rebuild_s=12.5 * 1e-3,
+            warm_rows=64,
+        )
+        assert RecoveryModel.from_spec(faults) == expected
+        # A resumable checkpoint replaces only the restore leg.
+        assert RecoveryModel.from_spec(
+            faults, restore_s=0.009
+        ) == RecoveryModel(
+            detection_s=0.7 * 1e-3,
+            restore_s=0.009,
+            checkpoint_period_s=0.003,
+            replay_rate=0.25,
+            cold_rebuild_s=12.5 * 1e-3,
+            warm_rows=64,
+        )
+
+    def test_every_client_and_schedule_knob(self):
+        faults = FaultSpec(
+            seed=5,
+            replica_hangs=1,
+            hang_duration_s=0.002,
+            fetch_degrades=2,
+            degrade_duration_s=0.003,
+            degrade_factor=3.0,
+            fetch_outages=1,
+            outage_duration_s=0.001,
+            start_s=0.001,
+            end_s=0.009,
+            timeout_ms=0.8,
+            max_retries=5,
+            backoff_base_ms=0.1,
+            backoff_cap_ms=0.9,
+            backoff_jitter=0.2,
+            retry_budget=0.5,
+        )
+        assert FaultConfig.from_spec(faults) == FaultConfig(
+            seed=5,
+            replica_hangs=1,
+            hang_duration_s=0.002,
+            fetch_degrades=2,
+            degrade_duration_s=0.003,
+            degrade_factor=3.0,
+            fetch_outages=1,
+            outage_duration_s=0.001,
+            start_s=0.001,
+            end_s=0.009,
+        )
+        assert RetryPolicy.from_spec(faults) == RetryPolicy(
+            timeout_ms=0.8,
+            max_retries=5,
+            backoff_base_ms=0.1,
+            backoff_cap_ms=0.9,
+            jitter=0.2,
+            retry_budget=0.5,
+        )
