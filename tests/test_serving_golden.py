@@ -11,6 +11,16 @@ they pin that the fold changed no bit.  The p2c entries were recorded
 after p2c moved to counter-hashed draws compared on the router's own
 recent-send counts.
 
+The ``pool/*`` and ``pool-tiered/*`` entries pin the shared-queue pool
+(one batcher and one cache feeding every dense host), recorded through
+the standalone single-service replay before it became a preset of the
+fleet engine.  Their report digest is the bare
+:class:`~repro.serving.ServingReport` dict and their timeline digest
+leaves the event labels out: the fleet labels every event with its
+replica, the standalone replay did not.  ``EXPERIMENT_GOLDEN`` pins the
+full ``to_json()`` of the fast serving experiments, which serve through
+the pool.
+
 Regenerate (only on an intentional pricing change, said in the commit)
 with ``PYTHONPATH=src python tests/test_serving_golden.py``.
 """
@@ -21,11 +31,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.experiments.registry import get_experiment
 from repro.hardware import Cluster
 from repro.serving import (
     AutoscalePolicy,
     FaultConfig,
     FaultEvent,
+    InferenceService,
+    LRUEmbeddingCache,
     MicroBatcher,
     Placement,
     RecoveryModel,
@@ -38,6 +51,7 @@ from repro.serving import (
     WorkloadConfig,
     build_storage,
     make_tiered_fleet,
+    make_tiered_service,
 )
 from repro.sim import SimCluster
 
@@ -56,6 +70,10 @@ GOLDEN = {
     "healthy/hash": ("6e8d7a0e302dd70f", "3098ba49090c370d", 1500),
     "healthy/p2c": ("7fb6ce41a18d3381", "6bac897862c2251f", 1500),
     "healthy/round_robin": ("2b821ddd0ebfc25a", "7340af7a04d06030", 1500),
+    "pool-tiered/hbm": ("208c268d68e5a004", "023f8378ea02b0d3", 1500),
+    "pool-tiered/remote": ("7c19d78e5d861729", "d28ff3376ba841ed", 1500),
+    "pool/colocated": ("d013644e9460f11b", "064ee64a7a5a6dcc", 1500),
+    "pool/disaggregated": ("02ee52b0cdd9868a", "c05061e504d4e03c", 1500),
     "storm-stall/hash": ("c8e1165685e52e39", "d4c16d50d069cc1b", 1500),
     "storm-stall/round_robin": ("e0fe78d4c20d29b5", "f82f34f8e558bf25", 1500),
     "storm/hash": ("2ba299a7eda41117", "2bb1a21caafa140f", 1500),
@@ -65,6 +83,12 @@ GOLDEN = {
     "tiered/hash": ("95a9e15c0ced052b", "64436d5ba7a52235", 1500),
     "tiered/p2c": ("cb0de5a19983c9d4", "78318de8c47949f7", 1500),
     "tiered/round_robin": ("55f8353905f3d4dd", "deef31b78f80e70e", 1500),
+}
+
+#: experiment id -> sha256 of its fast-mode ``to_json()``
+EXPERIMENT_GOLDEN = {
+    "serving": "1f1077ef39e969aeead8f22951262aaa0207d89779a672a4e7ee5dde5aa4d8a2",
+    "tiered_serving": "61a6692bb70c3fd98c2d02244aa7452bec2b2ef318bf218559f0cb652168ecc4",
 }
 
 MODEL = ServingModel(
@@ -201,12 +225,46 @@ def fault_scenario(name):
     return kw, reqs
 
 
+TIERED_MODEL = ServingModel(
+    name="tiny", num_lookups=6, embedding_dim=16, dense_mflops=1.0
+)
+
+
+def tiered_trace(qps=30_000.0):
+    return trace(qps=qps, lookups=6, key_space=900, skew=1.1, seed=7)
+
+
+def pool_replay(name, variant, sim, placement, batcher):
+    """Report of one shared-queue pool entry on every dense host.
+
+    The loads keep several dense hosts busy at once: some batches start
+    on a free host while another is still busy, and some wait for one.
+    """
+    if name == "pool":
+        placement = Placement(variant, emb_hosts=1)
+        return InferenceService(
+            sim, MODEL, placement, batcher, LRUEmbeddingCache(256)
+        ).serve(trace(qps=700_000.0))
+    if variant == "hbm":
+        storage = build_storage("A100", 256, backing="hbm")
+    else:
+        storage = build_storage(
+            "A100", 64, levels=("dram",), cache_rows=(256,), backing="remote"
+        )
+    return make_tiered_service(
+        sim, TIERED_MODEL, placement, batcher, storage
+    ).serve(tiered_trace(qps=500_000.0))
+
+
 def replay(key):
     """(report dict, timeline, served count) of one golden entry."""
     name, router = key.split("/")
     sim = SimCluster(Cluster(num_hosts=4, gpus_per_host=2, generation="A100"))
     placement = Placement("disaggregated", emb_hosts=1)
     batcher = MicroBatcher(16, 0.001)
+    if name.startswith("pool"):
+        report = pool_replay(name, router, sim, placement, batcher)
+        return report.to_dict(), sim.timeline, report.num_requests
     if name == "healthy":
         report = ServingFleet(
             sim, MODEL, placement, batcher,
@@ -214,16 +272,11 @@ def replay(key):
         ).serve(trace())
         return report.fleet.to_dict(), sim.timeline, report.num_served
     if name == "tiered":
-        model = ServingModel(
-            name="tiny", num_lookups=6, embedding_dim=16, dense_mflops=1.0
-        )
         report = make_tiered_fleet(
-            sim, model, placement, batcher,
+            sim, TIERED_MODEL, placement, batcher,
             build_storage("A100", 256, backing="hbm"),
             router=router, num_replicas=3,
-        ).serve(
-            trace(qps=30_000.0, lookups=6, key_space=900, skew=1.1, seed=7)
-        )
+        ).serve(tiered_trace())
         return report.fleet.to_dict(), sim.timeline, report.num_served
     kw, reqs = fault_scenario(name)
     report = ServingFleet(
@@ -235,10 +288,12 @@ def replay(key):
 def digests(key):
     report, timeline, served = replay(key)
     blob = json.dumps(report, sort_keys=True, allow_nan=False)
+    labelled = not key.startswith("pool")
     events = json.dumps(
         [
-            (e.phase.value, e.label, repr(e.seconds), e.nbytes,
-             e.world_size, e.flops)
+            (e.phase.value,)
+            + ((e.label,) if labelled else ())
+            + (repr(e.seconds), e.nbytes, e.world_size, e.flops)
             for e in timeline.events
         ]
     )
@@ -254,7 +309,19 @@ def test_replay_matches_golden(key):
     assert digests(key) == GOLDEN[key]
 
 
+def experiment_digest(exp_id):
+    result = get_experiment(exp_id)(fast=True)
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENT_GOLDEN))
+def test_experiment_matches_golden(exp_id):
+    assert experiment_digest(exp_id) == EXPERIMENT_GOLDEN[exp_id]
+
+
 if __name__ == "__main__":
     for key in sorted(GOLDEN):
         report_sha, timeline_sha, served = digests(key)
         print(f'    "{key}": ("{report_sha}", "{timeline_sha}", {served}),')
+    for exp_id in sorted(EXPERIMENT_GOLDEN):
+        print(f'    "{exp_id}": "{experiment_digest(exp_id)}",')
