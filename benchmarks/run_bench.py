@@ -291,16 +291,15 @@ def bench_tiering(args) -> dict:
     """p99 and $/1k requests vs capacity pressure, both storage arms."""
     from repro.hardware import Cluster
     from repro.serving import (
-        InferenceService,
-        LRUEmbeddingCache,
         MicroBatcher,
         Placement,
         RequestStream,
+        ServingFleet,
         ServingModel,
         WorkloadConfig,
         build_storage,
         dollars_per_1k_requests,
-        make_tiered_service,
+        make_tiered_fleet,
         storage_dollars,
     )
     from repro.sim import SimCluster
@@ -342,22 +341,24 @@ def bench_tiering(args) -> dict:
                     cache_rows=(key_space // 2,),
                     backing="remote",
                 )
-                service = make_tiered_service(
-                    sim, model, placement, batcher, storage
+                service = make_tiered_fleet(
+                    sim, model, placement, batcher, storage,
+                    shared_queue=True,
                 )
             else:
                 storage = build_storage(
                     "A100", args.cache_rows, backing="hbm"
                 )
-                service = InferenceService(
+                service = ServingFleet(
                     sim,
                     model,
                     placement,
                     batcher,
-                    LRUEmbeddingCache(args.cache_rows),
+                    cache_rows=args.cache_rows,
+                    shared_queue=True,
                 )
             start = time.perf_counter()
-            report = service.serve(requests)
+            report = service.serve(requests).fleet.fleet
             wall = time.perf_counter() - start
             dollars = storage_dollars(
                 storage, row_bytes, backing_rows=key_space

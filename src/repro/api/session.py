@@ -89,7 +89,6 @@ from repro.planner import AutoPlanner, TierPlanner
 from repro.serving import (
     AutoscalePolicy,
     FaultConfig,
-    InferenceService,
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
@@ -801,40 +800,32 @@ class Session:
                     else None
                 )
 
-                if serve.uses_fleet:
-                    # Faults, autoscaling and tiers are arguments of the
-                    # one fleet engine (the spec layer keeps faults and
-                    # autoscaling on fleets).
-                    server: Any = ServingFleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        cache_factory=make_cache,
-                        router_seed=serve.seed,
-                        engine=engine,
-                        faults=fault_cfg,
-                        retry=retry_cfg,
-                        recovery=recovery_cfg,
-                        autoscaler=make_autoscaler(),
-                        degraded_mode=(
-                            fs.degraded_mode if fs is not None else True
-                        ),
-                        stale_penalty=(
-                            fs.stale_penalty if fs is not None else 0.05
-                        ),
-                    )
-                else:
-                    server = InferenceService(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        make_cache(),
-                        engine=engine,
-                    )
+                # Faults, autoscaling and tiers are arguments of the
+                # one engine (the spec layer keeps faults and
+                # autoscaling on fleets); without fleet_replicas it
+                # serves as the shared-queue pool.
+                server = ServingFleet(
+                    sim,
+                    model,
+                    placement,
+                    batcher,
+                    router=serve.router,
+                    num_replicas=serve.fleet_replicas,
+                    cache_factory=make_cache,
+                    router_seed=serve.seed,
+                    engine=engine,
+                    faults=fault_cfg,
+                    retry=retry_cfg,
+                    recovery=recovery_cfg,
+                    autoscaler=make_autoscaler(),
+                    degraded_mode=(
+                        fs.degraded_mode if fs is not None else True
+                    ),
+                    stale_penalty=(
+                        fs.stale_penalty if fs is not None else 0.05
+                    ),
+                    shared_queue=not serve.uses_fleet,
+                )
                 if warm_from is not None:
                     seeded = server.warm_start_from_checkpoint(warm_from)
                     self._checkpoint_record().warm_start_rows[
@@ -847,9 +838,7 @@ class Session:
                     if fs is not None or asp is not None:
                         fault_reports[strategy] = outcome
                     fleet_reports[strategy] = outcome.fleet
-                    reports[strategy] = outcome.fleet.fleet
-                else:
-                    reports[strategy] = outcome
+                reports[strategy] = outcome.fleet.fleet
                 timelines[strategy] = sim.timeline
             return ServeArtifact(
                 model=model,

@@ -566,11 +566,13 @@ class ServeSpec(_SpecBase):
 
     ``scenario`` shapes the arrival process (stationary Poisson,
     diurnal sinusoid, or a flash crowd) and ``churn_keys_per_s`` drifts
-    the popularity ranking.  Setting ``fleet_replicas`` switches the
-    stage from the single :class:`InferenceService` to a
-    :class:`~repro.serving.fleet.ServingFleet` of that many replicas
-    (each with its own ``cache_rows``-row cache and batcher queue),
-    routed by ``router``.
+    the popularity ranking.  Both modes replay through
+    :class:`~repro.serving.fleet.ServingFleet`.  Without
+    ``fleet_replicas`` the stage serves the shared-queue pool, the
+    fleet's one-replica, all-dense-hosts preset: one batcher and one
+    ``cache_rows``-row cache feeding every dense host.  Setting
+    ``fleet_replicas`` serves a fleet of that many replicas instead
+    (each with its own cache and batcher queue), routed by ``router``.
 
     The stream and batching knobs map once, through
     :meth:`repro.serving.WorkloadConfig.from_spec` and
@@ -598,7 +600,7 @@ class ServeSpec(_SpecBase):
     flash_duration_s: float = 0.0
     flash_factor: float = 5.0
     churn_keys_per_s: float = 0.0
-    # Fleet serving (None = the single-service path).
+    # Fleet serving (None = the shared-queue pool over every dense host).
     fleet_replicas: Optional[int] = None
     router: str = "round_robin"
 

@@ -12,20 +12,22 @@ on the same cost-model machinery:
   trace;
 - :mod:`repro.serving.cache` — LRU embedding cache with hit-rate
   accounting (vectorized fast path + reference implementation);
-- :mod:`repro.serving.service` — the :class:`InferenceService` that
+- :mod:`repro.serving.service` — the :class:`PlacementEngine` that
   prices each served batch through
   :class:`~repro.comm.cost_model.CollectiveCostModel` on a
-  :class:`~repro.sim.SimCluster` and reports p50/p95/p99 latency,
-  sustained throughput, and per-phase timeline breakdowns for
-  colocated vs disaggregated embedding placement;
+  :class:`~repro.sim.SimCluster` for colocated vs disaggregated
+  embedding placement, and the :class:`ServingReport` of p50/p95/p99
+  latency, sustained throughput, and per-phase timeline breakdowns;
 - :mod:`repro.serving.fleet` — the :class:`ServingFleet`, the one
-  fleet replay engine: N replicas, each with its own batcher and cache,
+  replay engine: N replicas, each with its own batcher and cache,
   fed by a pluggable router (round-robin / consistent-hash /
   power-of-two-choices on recent load, counter-hashed draws) on the
   same priced cluster.  It walks control events (faults, swaps,
   windows, membership) one at a time and replays the event-free
   stretches between them vectorized; a healthy fleet is the same
-  engine with no fault events;
+  engine with no fault events, and the shared-queue pool
+  (``shared_queue=True``: one replica whose batcher and cache feed
+  every dense host) is its one-replica, all-dense-hosts preset;
 - :mod:`repro.serving.tiers` — the tiered storage hierarchy: a
   multi-level :class:`CacheChain` (HBM/DRAM/SSD) over an HBM or
   remote-parameter-server backing, priced per
@@ -68,7 +70,6 @@ from repro.serving.fleet import (
 )
 from repro.serving.service import (
     ID_WIRE_BYTES,
-    InferenceService,
     PLACEMENT_STRATEGIES,
     Placement,
     PlacementEngine,
@@ -85,7 +86,6 @@ from repro.serving.tiers import (
     build_storage,
     dollars_per_1k_requests,
     make_tiered_fleet,
-    make_tiered_service,
     storage_dollars,
 )
 from repro.serving.workload import (
@@ -109,7 +109,6 @@ __all__ = [
     "ServingModel",
     "Placement",
     "PlacementEngine",
-    "InferenceService",
     "ServingReport",
     "build_report",
     "ServingFleet",
@@ -127,7 +126,6 @@ __all__ = [
     "TieredStorage",
     "TieredPlacementEngine",
     "build_storage",
-    "make_tiered_service",
     "make_tiered_fleet",
     "storage_dollars",
     "dollars_per_1k_requests",

@@ -1,12 +1,14 @@
-"""Multi-replica serving: the one fleet replay engine.
+"""Multi-replica serving: the one replay engine.
 
-The single :class:`~repro.serving.service.InferenceService` answers the
-placement question for one replica pool with a shared cache.  A real
-serving tier is a **fleet**: N replicas, each owning its own
+A serving tier is a **fleet**: N replicas, each owning its own
 micro-batcher and LRU embedding cache, fed by a front-end router
-(DisaggRec's provisioning setting, arXiv:2212.00939).  The router
-policy decides everything the cache story depends on — which replica's
-cache learns which keys, and how evenly bursts spread:
+(DisaggRec's provisioning setting, arXiv:2212.00939).  The placement
+question alone is answered by the fleet's **shared-queue pool**
+preset (``shared_queue=True``): one replica whose single batcher and
+cache feed one *lane* per dense host, each batch starting on the
+earliest-free lane.  The router policy decides everything the cache
+story depends on — which replica's cache learns which keys, and how
+evenly bursts spread:
 
 - **round_robin** — perfect spread, zero affinity: every replica's
   cache must learn the whole hot set;
@@ -17,7 +19,7 @@ cache learns which keys, and how evenly bursts spread:
   sent each replica within the last batching window): near-optimal
   burst spreading with only two probes per request.
 
-:class:`ServingFleet` is the only fleet replay engine.  It walks the
+:class:`ServingFleet` is the only replay engine.  It walks the
 *control* events of a replay one at a time — faults, planned swaps,
 observation windows, membership changes, replicas coming online, hangs
 ending — and replays every event-free stretch between two of them
@@ -355,21 +357,23 @@ class _Slot:
         "state",
         "detect_at",  # when the router learns the slot is down
         "open",  # the batch still filling (an OpenBatch)
-        "busy_until",
+        "busy_until",  # per-lane busy-until times
         "batches",
         "reqs",  # requests served here (replica-local arrival times)
         "lats",  # per-request latency from *original* arrival
         "phase_ms",
     )
 
-    def __init__(self, idx: int, cache: _LRUCacheBase, state: str):
+    def __init__(
+        self, idx: int, cache: _LRUCacheBase, state: str, lanes: int
+    ):
         self.idx = idx
         self.cache = cache
         self.caches = [cache]
         self.state = state
         self.detect_at = math.inf
         self.open = OpenBatch()
-        self.busy_until = 0.0
+        self.busy_until = [0.0] * lanes
         self.batches = 0
         self.reqs: List[Request] = []
         self.lats: List[float] = []
@@ -394,10 +398,13 @@ class ServingFleet:
     optional seeded faults, client retries with backoff, degraded-mode
     serving, crash recovery, SLO autoscaling and planned hot swaps.
 
-    ``num_replicas`` defaults to one replica per dense host (the
-    :class:`~repro.serving.service.InferenceService` notion); more
+    ``num_replicas`` defaults to one replica per dense host; more
     replicas than dense hosts time-share host GPUs, so each replica's
-    dense forward slows by the oversubscription factor.  The fetch path
+    dense forward slows by the oversubscription factor.  With
+    ``shared_queue=True`` each replica instead feeds one *lane* per
+    dense host from its single batcher and cache (each batch starts on
+    the earliest-free lane), and ``num_replicas`` defaults to 1: the
+    shared-queue pool over every dense host.  The fetch path
     — global fabric or embedding tier per the placement — is shared by
     the whole fleet.  ``engine`` injects a PlacementEngine subclass
     (the tiered engine) and ``cache_factory`` may build multi-level
@@ -425,16 +432,19 @@ class ServingFleet:
         degraded_mode: bool = True,
         stale_penalty: float = 0.05,
         swaps: Optional[Sequence[SwapEvent]] = None,
+        shared_queue: bool = False,
     ):
         self.engine = (
             engine
             if engine is not None
             else PlacementEngine(sim, model, placement)
         )
+        # A shared-queue replica feeds one lane per dense host.
+        self.lanes = self.engine.num_dense_hosts if shared_queue else 1
         self.num_replicas = (
             num_replicas
             if num_replicas is not None
-            else self.engine.num_dense_hosts
+            else 1 if shared_queue else self.engine.num_dense_hosts
         )
         if self.num_replicas < 1:
             raise ValueError(
@@ -465,7 +475,8 @@ class ServingFleet:
         # initial fleet's share; the replay re-derives it from the
         # replicas actually serving).
         self.host_share = min(
-            1.0, self.engine.num_dense_hosts / self.num_replicas
+            1.0,
+            self.engine.num_dense_hosts / (self.num_replicas * self.lanes),
         )
         # Replica slots: the initial fleet plus headroom the autoscaler
         # may grow into.  The router binds over the full capacity with
@@ -522,8 +533,9 @@ class ServingFleet:
 
     def _host_share(self) -> float:
         """Survivors inherit the dense GPUs of dead replicas — the
-        share is over replicas actually serving right now."""
-        live = max(1, self._accepting_count())
+        share is over the lanes of replicas actually serving right
+        now."""
+        live = max(1, self._accepting_count()) * self.lanes
         return min(1.0, self.engine.num_dense_hosts / live)
 
     def _update_membership(self, now_s: float) -> None:
@@ -623,7 +635,9 @@ class ServingFleet:
     ) -> None:
         """Price one closed batch on its replica."""
         ready_s = batch.ready_s
-        start = max(ready_s, slot.busy_until)
+        lanes = slot.busy_until
+        lane = lanes.index(min(lanes)) if len(lanes) > 1 else 0
+        start = max(ready_s, lanes[lane])
         hits, miss_keys = slot.cache.probe(batch.keys)
         extra = self.engine.chain_extra_seconds(slot.cache)
         misses = len(miss_keys)
@@ -658,7 +672,7 @@ class ServingFleet:
             )
         mine["compute"] = mine.get("compute", 0.0) + t_compute * 1e3
         mine["queue"] = mine.get("queue", 0.0) + t_queue * 1e3
-        slot.busy_until = done
+        lanes[lane] = done
         slot.batches += 1
         self._num_batches += 1
         if degraded:
@@ -782,9 +796,10 @@ class ServingFleet:
                 nbytes=nbytes,
                 world_size=world,
             )
-            slot.busy_until = max(
-                slot.busy_until, fetch_start + prefill_s
-            )
+            slot.busy_until = [
+                max(free, fetch_start + prefill_s)
+                for free in slot.busy_until
+            ]
         if scale_event is not None:
             scale_event["online_s"] = t
             scale_event["prefill_s"] = prefill_s
@@ -918,6 +933,7 @@ class ServingFleet:
                 i,
                 self.caches[i],
                 "active" if i < self.num_replicas else "idle",
+                self.lanes,
             )
             for i in range(self.capacity)
         ]
@@ -1041,7 +1057,7 @@ class ServingFleet:
     ) -> FaultReport:
         strategy = self.placement.strategy
         last_done = max(
-            (slot.busy_until for slot in self._slots), default=0.0
+            (max(slot.busy_until) for slot in self._slots), default=0.0
         )
         replica_reports: Dict[int, ServingReport] = {}
         all_lats: List[np.ndarray] = []
@@ -1064,7 +1080,7 @@ class ServingFleet:
                 requests=slot.reqs,
                 num_batches=slot.batches,
                 latencies_s=lats,
-                last_done_s=slot.busy_until,
+                last_done_s=max(slot.busy_until),
                 hits=hits,
                 misses=misses,
                 breakdown_ms=slot.phase_ms,

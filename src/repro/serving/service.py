@@ -1,10 +1,13 @@
-"""Priced inference serving on a simulated cluster.
+"""Priced inference serving on a simulated cluster: placement and
+per-batch pricing.
 
-An :class:`InferenceService` replays a request trace through the
-micro-batcher, the LRU embedding cache, and the existing collective
-cost model, and reports tail latency + sustained throughput.  Two
-placement strategies are modeled (the DisaggRec framing,
-arXiv:2212.00939):
+The replay itself — micro-batcher, LRU embedding cache, routing — is
+:class:`~repro.serving.fleet.ServingFleet`; its shared-queue pool
+preset (one batcher and cache feeding every dense host) is the classic
+single-service setup.  This module holds what that replay prices each
+batch with, and the report it returns: tail latency + sustained
+throughput.  Two placement strategies are modeled (the DisaggRec
+framing, arXiv:2212.00939):
 
 - **colocated** — every host runs both embedding shards and dense
   scoring.  Each served batch's remote rows arrive via an AlltoAll over
@@ -24,11 +27,9 @@ going up to the shard owner (``ID_WIRE_BYTES``) and the embedding row
 coming back — so the comparison between them is purely topological,
 not an accounting artifact.
 
-The placement-derived cost terms live in :class:`PlacementEngine`, so
-the single-service replay here and the multi-replica
-:class:`~repro.serving.fleet.ServingFleet` price batches identically.
+The placement-derived cost terms live in :class:`PlacementEngine`.
 
-Every batch appends to the service's :class:`~repro.sim.Timeline`
+Every batch appends to the cluster's :class:`~repro.sim.Timeline`
 (``QUEUE`` = batching + queueing wait, ``EMBEDDING_COMM`` = priced
 fetch, ``COMPUTE`` = dense forward + cached-row reads, with flops
 recorded), so a served run has the same per-phase breakdown story as a
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.process_group import global_group
 from repro.perf.profiles import ModelProfile
-from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import LRUEmbeddingCache
 from repro.serving.workload import Request
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
@@ -130,10 +129,8 @@ class PlacementEngine:
     Owns the topology bookkeeping (dense hosts vs embedding tier, the
     representative cross-tier rank pair, the global process group) and
     prices the three per-batch terms: the miss-row fetch, the dense
-    forward, and the cached-row HBM reads.
-    :class:`InferenceService` and
-    :class:`~repro.serving.fleet.ServingFleet` share one implementation
-    so a replica fleet is priced exactly like the single service.
+    forward, and the cached-row HBM reads.  Every replica and lane of
+    :class:`~repro.serving.fleet.ServingFleet` prices through it.
     """
 
     def __init__(
@@ -194,8 +191,8 @@ class PlacementEngine:
         return timing.seconds, per_stream, 2
 
     def dense_seconds(self, batch_size: int, host_share: float = 1.0) -> float:
-        """Forward scoring on one replica owning ``host_share`` of a
-        dense host's GPUs (all of them for the single-service case)."""
+        """Forward scoring on one lane owning ``host_share`` of a
+        dense host's GPUs (all of them for the shared-queue pool)."""
         spec = self.sim.cluster.spec
         flops = self.model.dense_mflops * 1e6 * batch_size
         gpus = self.sim.cluster.gpus_per_host * host_share
@@ -232,11 +229,10 @@ class PlacementEngine:
     ) -> Tuple[float, float, float, float]:
         """Price one served batch and append its timeline events.
 
-        This is the whole per-batch replay step shared by the single
-        service and every fleet replica — one implementation, so a
-        pricing change (like this PR's id-leg fix) can never drift
-        between them.  ``start_s`` is when the owning replica picks the
-        batch up; ``fetch_free`` (mutated) holds the shared fetch
+        This is the whole per-batch replay step of every fleet replica
+        and lane — one implementation, so a pricing change can never
+        drift between them.  ``start_s`` is when the owning lane picks
+        the batch up; ``fetch_free`` (mutated) holds the shared fetch
         servers' busy-until times.  ``extra_compute_s`` is additional
         local time folded into the COMPUTE phase — the tiered cache
         chain's below-HBM hop costs (0.0 for the single-level cache, so
@@ -382,9 +378,9 @@ def build_report(
 ) -> ServingReport:
     """Assemble a :class:`ServingReport` from replay raw material.
 
-    Shared by the single service and the fleet (per replica and
-    aggregate), so every report computes percentiles, throughput, and
-    offered load the same way.  A zero-request trace (a replica drained
+    Shared by the fleet's per-replica and aggregate reports, so every
+    report computes percentiles, throughput, and offered load the same
+    way.  A zero-request trace (a replica drained
     before serving anything) yields the explicit
     :meth:`ServingReport.empty` marker instead of dividing by zero.
     """
@@ -416,123 +412,3 @@ def build_report(
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         breakdown_ms=breakdown_ms,
     )
-
-
-class InferenceService:
-    """Serves a request trace on a :class:`SimCluster`, pricing every
-    batch through the collective cost model.
-
-    One serving replica per dense host (its GPUs score jointly); the
-    embedding path is the placement-dependent shared resource — the
-    global fabric when colocated, the tier's hosts when disaggregated.
-    """
-
-    def __init__(
-        self,
-        sim: SimCluster,
-        model: ServingModel,
-        placement: Placement,
-        batcher: MicroBatcher,
-        cache: Optional[Any] = None,
-        engine: Optional[PlacementEngine] = None,
-    ):
-        # ``cache`` accepts anything with the cache protocol (probe /
-        # prefill / stats / capacity_rows) — an LRUEmbeddingCache or a
-        # multi-level CacheChain.  ``engine`` injects a PlacementEngine
-        # subclass (the tiered engine); default is the classic one.
-        self.engine = (
-            engine if engine is not None else PlacementEngine(sim, model, placement)
-        )
-        self.num_replicas = self.engine.num_dense_hosts
-        self.num_fetch_servers = self.engine.num_fetch_servers
-        self.sim = sim
-        self.model = model
-        self.placement = placement
-        self.batcher = batcher
-        self.cache = cache if cache is not None else LRUEmbeddingCache(0)
-        self._world = self.engine.world
-
-    # ------------------------------------------------------------------
-    # Per-batch cost terms (delegated to the shared engine)
-    # ------------------------------------------------------------------
-    def _fetch_timing(self, num_miss_rows: int) -> Tuple[float, int, int]:
-        return self.engine.fetch_timing(num_miss_rows)
-
-    def _dense_seconds(self, batch_size: int) -> float:
-        return self.engine.dense_seconds(batch_size)
-
-    def _hit_read_seconds(self, num_hit_rows: int) -> float:
-        return self.engine.hit_read_seconds(num_hit_rows)
-
-    # ------------------------------------------------------------------
-    def warm_start_from_checkpoint(
-        self, path: str, max_rows: Optional[int] = None
-    ) -> int:
-        """Prefill the LRU cache from a training checkpoint's hottest
-        saved embedding rows (ranked by Adagrad accumulator mass — the
-        rows the training traffic actually hit).
-
-        Returns the number of rows seeded; a capacity-0 cache stays
-        empty.  The first served batches then hit instead of paying the
-        cold-start fetch storm — the FlexEMR-style warm start.
-        """
-        limit = self.cache.capacity_rows
-        if max_rows is not None:
-            limit = min(limit, max_rows)
-        if limit <= 0:
-            return 0
-        # Local import: serving stays importable without dragging the
-        # checkpoint stack in for services that never warm-start.
-        from repro.checkpoint.state import hottest_rows
-
-        return self.cache.prefill(hottest_rows(path, limit))
-
-    # ------------------------------------------------------------------
-    def serve(self, requests: Sequence[Request]) -> ServingReport:
-        """Replay the trace; returns the latency/throughput report."""
-        if not requests:
-            raise ValueError("cannot serve an empty request trace")
-        batches = self.batcher.form_batches(requests)
-        replica_free = np.zeros(self.num_replicas)
-        fetch_free = np.zeros(self.num_fetch_servers)
-        timeline = self.sim.timeline
-        # Snapshot cumulative state so the report covers *this* trace
-        # even when the service (or its SimCluster) is reused.
-        events_before = len(timeline.events)
-        stats_before = self.cache.stats
-        latencies: List[float] = []
-        last_done = 0.0
-        for batch in batches:
-            replica = int(np.argmin(replica_free))
-            start = max(batch.ready_s, float(replica_free[replica]))
-            hits, miss_keys = self.cache.probe(batch.keys)
-            extra = self.engine.chain_extra_seconds(self.cache)
-            done, _, _, _ = self.engine.price_batch(
-                batch,
-                start,
-                fetch_free,
-                hits,
-                len(miss_keys),
-                extra_compute_s=extra,
-            )
-            replica_free[replica] = done
-            last_done = max(last_done, done)
-            latencies.extend(done - r.arrival_s for r in batch.requests)
-
-        stats_now = self.cache.stats
-        breakdown: Dict[str, float] = {}
-        for event in timeline.events[events_before:]:
-            breakdown[event.phase.value] = (
-                breakdown.get(event.phase.value, 0.0) + event.seconds * 1e3
-            )
-        return build_report(
-            placement=self.placement.strategy,
-            model=self.model.name,
-            requests=requests,
-            num_batches=len(batches),
-            latencies_s=np.asarray(latencies),
-            last_done_s=last_done,
-            hits=stats_now.hits - stats_before.hits,
-            misses=stats_now.misses - stats_before.misses,
-            breakdown_ms=breakdown,
-        )

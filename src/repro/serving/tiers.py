@@ -56,7 +56,6 @@ from repro.serving.cache import CacheStats, LRUEmbeddingCache, _LRUCacheBase
 from repro.serving.fleet import ServingFleet
 from repro.serving.service import (
     ID_WIRE_BYTES,
-    InferenceService,
     Placement,
     PlacementEngine,
     ServingModel,
@@ -69,7 +68,6 @@ __all__ = [
     "TieredStorage",
     "TieredPlacementEngine",
     "build_storage",
-    "make_tiered_service",
     "make_tiered_fleet",
     "storage_dollars",
     "dollars_per_1k_requests",
@@ -327,26 +325,6 @@ def build_storage(
     return TieredStorage(levels=tuple(tiers), backing=presets[backing])
 
 
-def make_tiered_service(
-    sim: SimCluster,
-    model: ServingModel,
-    placement: Placement,
-    batcher: MicroBatcher,
-    storage: TieredStorage,
-    cache_factory: Callable[[int], _LRUCacheBase] = LRUEmbeddingCache,
-) -> InferenceService:
-    """An :class:`InferenceService` over a tiered storage hierarchy."""
-    engine = TieredPlacementEngine(sim, model, placement, storage)
-    return InferenceService(
-        sim,
-        model,
-        placement,
-        batcher,
-        cache=storage.make_chain(cache_factory),
-        engine=engine,
-    )
-
-
 def make_tiered_fleet(
     sim: SimCluster,
     model: ServingModel,
@@ -357,8 +335,10 @@ def make_tiered_fleet(
     num_replicas: Optional[int] = None,
     router_seed: int = 0,
     cache_factory: Callable[[int], _LRUCacheBase] = LRUEmbeddingCache,
+    shared_queue: bool = False,
 ) -> ServingFleet:
-    """A :class:`ServingFleet` whose replicas each own a tiered chain."""
+    """A :class:`ServingFleet` whose replicas each own a tiered chain
+    (``shared_queue=True``: the shared-queue pool over one chain)."""
     engine = TieredPlacementEngine(sim, model, placement, storage)
     return ServingFleet(
         sim,
@@ -370,6 +350,7 @@ def make_tiered_fleet(
         cache_factory=lambda: storage.make_chain(cache_factory),
         router_seed=router_seed,
         engine=engine,
+        shared_queue=shared_queue,
     )
 
 

@@ -54,11 +54,11 @@ from repro.models import DLRM, tiny_table_configs
 from repro.models.configs import DenseArch
 from repro.nn import Adagrad, Adam, Parameter, RowwiseAdagrad, SGD
 from repro.serving import (
-    InferenceService,
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
     RequestStream,
+    ServingFleet,
     ServingModel,
     WorkloadConfig,
 )
@@ -603,12 +603,13 @@ class TestServingWarmStart:
 
         cache = LRUEmbeddingCache(capacity_rows=32)
         sim = SimCluster(Cluster(2, 2, "A100"))
-        service = InferenceService(
+        service = ServingFleet(
             sim,
             ServingModel.from_trained(model),
             Placement("colocated"),
             MicroBatcher(16, 1e-3),
-            cache,
+            cache_factory=lambda: cache,
+            shared_queue=True,
         )
         seeded = service.warm_start_from_checkpoint(path)
         assert seeded == 32
@@ -630,7 +631,7 @@ class TestServingWarmStart:
                 seed=0,
             )
         ).generate()
-        report = service.serve(requests)
+        report = service.serve(requests).fleet.fleet
         assert report.cache_hits > 0
 
     def test_capacity_zero_cache_stays_cold(self, data, tmp_path):
@@ -640,12 +641,12 @@ class TestServingWarmStart:
         trainer.fit(td, ti, tl)
         path = save_training_checkpoint(str(tmp_path / "z"), model, trainer)
         sim = SimCluster(Cluster(2, 2, "A100"))
-        service = InferenceService(
+        service = ServingFleet(
             sim,
             ServingModel.from_trained(model),
             Placement("colocated"),
             MicroBatcher(16, 1e-3),
-            LRUEmbeddingCache(0),
+            shared_queue=True,
         )
         assert service.warm_start_from_checkpoint(path) == 0
 

@@ -1,4 +1,5 @@
-"""Tests for the serving subsystem (workload, batcher, cache, service)."""
+"""Tests for the serving subsystem (workload, batcher, cache, and the
+shared-queue pool preset of the fleet engine)."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from repro.api import ClusterSpec, RunSpec, ServeSpec, Session, SpecError
 from repro.hardware import Cluster
 from repro.serving import (
-    InferenceService,
     LRUEmbeddingCache,
     MicroBatch,
     MicroBatcher,
@@ -15,6 +15,7 @@ from repro.serving import (
     ReferenceLRUCache,
     Request,
     RequestStream,
+    ServingFleet,
     ServingModel,
     ServingReport,
     WorkloadConfig,
@@ -274,7 +275,7 @@ class TestLRUCache:
     def test_vectorized_matches_reference_on_served_trace(self):
         """The whole serving report — latencies, breakdowns, cache
         accounting — is identical whichever implementation backs the
-        service."""
+        pool's cache."""
         reqs = RequestStream(
             WorkloadConfig(
                 qps=30_000.0, num_requests=1200, num_lookups=6,
@@ -284,14 +285,15 @@ class TestLRUCache:
         reports = {}
         for cls in (LRUEmbeddingCache, ReferenceLRUCache):
             sim = SimCluster(Cluster(4, 2, "A100"))
-            svc = InferenceService(
+            svc = ServingFleet(
                 sim,
                 tiny_model(),
                 Placement("disaggregated", emb_hosts=1),
                 MicroBatcher(16, 0.001),
-                cls(256),
+                cache_factory=lambda: cls(256),
+                shared_queue=True,
             )
-            reports[cls.__name__] = svc.serve(reqs).to_dict()
+            reports[cls.__name__] = svc.serve(reqs).fleet.fleet.to_dict()
         assert (
             reports["LRUEmbeddingCache"] == reports["ReferenceLRUCache"]
         )
@@ -319,19 +321,28 @@ class TestLRUCache:
 
 
 # ----------------------------------------------------------------------
-def make_service(strategy: str, cluster=None, **kw) -> InferenceService:
+def make_service(strategy: str, cluster=None, **kw) -> ServingFleet:
+    """The shared-queue pool: one batcher and cache over every dense
+    host."""
     sim = SimCluster(cluster or Cluster(num_hosts=4, gpus_per_host=2, generation="A100"))
-    return InferenceService(
+    return ServingFleet(
         sim,
         kw.pop("model", tiny_model()),
         Placement(strategy, emb_hosts=kw.pop("emb_hosts", 1)),
         MicroBatcher(
             kw.pop("max_batch_size", 16), kw.pop("max_delay_s", 0.001)
         ),
-        LRUEmbeddingCache(kw.pop("cache_rows", 512)),
+        cache_rows=kw.pop("cache_rows", 512),
+        shared_queue=True,
     )
 
 
+def serve(svc: ServingFleet, requests) -> ServingReport:
+    return svc.serve(requests).fleet.fleet
+
+
+# Named after the standalone single-service replay the pool replaced,
+# which keeps these tests' ids stable.
 class TestInferenceService:
     def _trace(self, qps=20_000.0, n=2000, seed=3, **cfg):
         return RequestStream(
@@ -343,8 +354,8 @@ class TestInferenceService:
 
     def test_percentiles_deterministic_under_fixed_seed(self):
         reqs = self._trace()
-        a = make_service("colocated").serve(reqs)
-        b = make_service("colocated").serve(self._trace())
+        a = serve(make_service("colocated"), reqs)
+        b = serve(make_service("colocated"), self._trace())
         assert a.to_dict() == b.to_dict()
         assert a.latency_ms["p50"] <= a.latency_ms["p95"] <= a.latency_ms["p99"]
 
@@ -360,7 +371,7 @@ class TestInferenceService:
 
     def test_report_accounts_every_request(self):
         reqs = self._trace(n=777)
-        report = make_service("disaggregated").serve(reqs)
+        report = serve(make_service("disaggregated"), reqs)
         assert report.num_requests == 777
         assert report.num_batches >= 777 // 16
         assert report.throughput_rps > 0
@@ -386,7 +397,7 @@ class TestInferenceService:
                 strategy, cluster=cluster, model=model, emb_hosts=2,
                 max_batch_size=64, cache_rows=16_384,
             )
-            reports[strategy] = svc.serve(reqs)
+            reports[strategy] = serve(svc, reqs)
         assert (
             reports["disaggregated"].latency_ms["p99"]
             < reports["colocated"].latency_ms["p99"]
@@ -409,9 +420,9 @@ class TestInferenceService:
         ]
         assert events
         for event in events[:10]:
-            repriced = svc.sim.cost_model.alltoall(svc._world, event.nbytes)
+            repriced = svc.sim.cost_model.alltoall(svc.engine.world, event.nbytes)
             assert event.seconds == pytest.approx(repriced.seconds)
-            assert event.world_size == svc._world.world_size
+            assert event.world_size == svc.engine.world.world_size
 
     def test_fetch_prices_id_and_row_legs_symmetrically(self):
         """Regression: the colocated arm used to bill only the row leg
@@ -434,7 +445,7 @@ class TestInferenceService:
             e for e in svc_c.sim.timeline.events
             if e.phase is Phase.EMBEDDING_COMM
         )
-        world = svc_c._world.world_size
+        world = svc_c.engine.world.world_size
         assert event.nbytes == max(
             1, math.ceil(first_misses * per_miss / world)
         )
@@ -463,8 +474,8 @@ class TestInferenceService:
         """Regression: breakdown and hit rate used to accumulate across
         serve() calls while percentiles stayed per-trace."""
         svc = make_service("colocated")
-        first = svc.serve(self._trace(n=600))
-        second = svc.serve(self._trace(n=600))
+        first = serve(svc, self._trace(n=600))
+        second = serve(svc, self._trace(n=600))
         # Same trace, same dense work: the compute bucket must not double.
         assert second.breakdown_ms["compute"] == pytest.approx(
             first.breakdown_ms["compute"], rel=0.01
@@ -480,7 +491,7 @@ class TestInferenceService:
         emits as the non-standard 'Infinity' token."""
         import json
 
-        report = make_service("colocated").serve([req(0, 0.0, keys=(1, 2))])
+        report = serve(make_service("colocated"), [req(0, 0.0, keys=(1, 2))])
         payload = json.dumps(report.to_dict())
         assert "Infinity" not in payload
         assert json.loads(payload)["offered_qps"] is None
@@ -491,7 +502,7 @@ class TestInferenceService:
         with pytest.raises(ValueError, match="dense host"):
             make_service("disaggregated", emb_hosts=4)
         with pytest.raises(ValueError, match="empty"):
-            make_service("colocated").serve([])
+            serve(make_service("colocated"), [])
 
     def test_from_profile_geometry(self):
         from repro.perf.profiles import baseline_profile

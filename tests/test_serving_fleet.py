@@ -8,13 +8,13 @@ from repro.api import ClusterSpec, RunSpec, ServeSpec, Session, SpecError
 from repro.hardware import Cluster
 from repro.serving import (
     ConsistentHashRouter,
-    InferenceService,
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
     PowerOfTwoChoicesRouter,
     ROUTER_POLICIES,
     ReferenceLRUCache,
+    Request,
     RequestStream,
     RoundRobinRouter,
     ServingFleet,
@@ -338,28 +338,39 @@ class TestServingFleet:
             b = make_fleet(router=policy, cache_rows=128).serve(trace())
             assert a.to_dict() == b.to_dict()
 
-    def test_single_replica_fleet_matches_single_service(self):
-        """A 1-replica fleet is the single service with its own batcher
-        and cache: same latencies, same cache accounting."""
-        reqs = trace(n=900)
-        cluster = Cluster(num_hosts=2, gpus_per_host=2, generation="A100")
-        fleet_report = make_fleet(
-            cluster=cluster, cache_rows=256, num_replicas=1
-        ).serve(reqs).fleet
-        sim = SimCluster(cluster)
-        svc = InferenceService(
-            sim,
-            tiny_model(),
-            Placement("disaggregated", emb_hosts=1),
-            MicroBatcher(16, 0.001),
-            LRUEmbeddingCache(256),
+    def test_shared_queue_pool_starts_batches_on_free_lanes(self):
+        """The pool's one batcher feeds a lane per dense host: a batch
+        ready while another lane is busy starts at once, and each lane
+        owns a whole dense host (host_share 1.0)."""
+        model = tiny_model(dense_mflops=10_000.0)
+        reqs = [
+            Request(0, 0.0, np.arange(4)),
+            Request(1, 1e-6, np.arange(4)),
+        ]
+        latencies = {}
+        for shared_queue in (True, False):
+            fleet = make_fleet(
+                "colocated", model=model, max_batch_size=1,
+                max_delay_s=0.0, cache_rows=8, num_replicas=1,
+                shared_queue=shared_queue,
+            )
+            fleet.caches[0].prefill(np.arange(8))  # all hits: no fetch
+            report = fleet.serve(reqs).fleet
+            latencies[shared_queue] = report.fleet.latency_ms
+        pool = make_fleet("colocated", model=model, shared_queue=True)
+        assert pool.num_replicas == 1
+        assert pool.lanes == pool.engine.num_dense_hosts == 4
+        assert pool.host_share == 1.0
+        t_batch = (
+            pool.engine.dense_seconds(1, 1.0)
+            + pool.engine.hit_read_seconds(4)
         )
-        single = svc.serve(reqs)
-        agg = fleet_report.fleet
-        assert agg.latency_ms == single.latency_ms
-        assert agg.cache_hits == single.cache_hits
-        assert agg.cache_misses == single.cache_misses
-        assert agg.num_batches == single.num_batches
+        assert t_batch > 1e-6  # the first lane is still busy
+        assert latencies[True]["max"] == pytest.approx(t_batch * 1e3)
+        # One lane: the second batch queues behind the first.
+        assert latencies[False]["max"] == pytest.approx(
+            (2 * t_batch - 1e-6) * 1e3
+        )
 
     def test_vectorized_and_reference_caches_give_identical_fleets(self):
         reqs = trace(n=1200, skew=1.1)
@@ -430,14 +441,15 @@ class TestServingProperties:
         reqs = trace(n=1500, qps=200_000.0)
         batcher = MicroBatcher(16, 0.002)
         sim = SimCluster(Cluster(4, 2, "A100"))
-        svc = InferenceService(
+        svc = ServingFleet(
             sim,
             tiny_model(),
             Placement("colocated"),
             batcher,
-            LRUEmbeddingCache(256),
+            cache_rows=256,
+            shared_queue=True,
         )
-        report = svc.serve(reqs)
+        report = svc.serve(reqs).fleet.fleet
         batches = batcher.form_batches(reqs)
         waits = [
             batch.ready_s - req.arrival_s

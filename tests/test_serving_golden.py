@@ -13,8 +13,8 @@ recent-send counts.
 
 The ``pool/*`` and ``pool-tiered/*`` entries pin the shared-queue pool
 (one batcher and one cache feeding every dense host), recorded through
-the standalone single-service replay before it became a preset of the
-fleet engine.  Their report digest is the bare
+the standalone single-service replay before it became the fleet's
+``shared_queue=True`` preset, so they pin that the fold changed no bit.  Their report digest is the bare
 :class:`~repro.serving.ServingReport` dict and their timeline digest
 leaves the event labels out: the fleet labels every event with its
 replica, the standalone replay did not.  ``EXPERIMENT_GOLDEN`` pins the
@@ -37,8 +37,6 @@ from repro.serving import (
     AutoscalePolicy,
     FaultConfig,
     FaultEvent,
-    InferenceService,
-    LRUEmbeddingCache,
     MicroBatcher,
     Placement,
     RecoveryModel,
@@ -51,7 +49,6 @@ from repro.serving import (
     WorkloadConfig,
     build_storage,
     make_tiered_fleet,
-    make_tiered_service,
 )
 from repro.sim import SimCluster
 
@@ -235,15 +232,16 @@ def tiered_trace(qps=30_000.0):
 
 
 def pool_replay(name, variant, sim, placement, batcher):
-    """Report of one shared-queue pool entry on every dense host.
+    """Fleet report of one shared-queue pool entry on every dense host.
 
     The loads keep several dense hosts busy at once: some batches start
     on a free host while another is still busy, and some wait for one.
     """
     if name == "pool":
         placement = Placement(variant, emb_hosts=1)
-        return InferenceService(
-            sim, MODEL, placement, batcher, LRUEmbeddingCache(256)
+        return ServingFleet(
+            sim, MODEL, placement, batcher, cache_rows=256,
+            shared_queue=True,
         ).serve(trace(qps=700_000.0))
     if variant == "hbm":
         storage = build_storage("A100", 256, backing="hbm")
@@ -251,8 +249,8 @@ def pool_replay(name, variant, sim, placement, batcher):
         storage = build_storage(
             "A100", 64, levels=("dram",), cache_rows=(256,), backing="remote"
         )
-    return make_tiered_service(
-        sim, TIERED_MODEL, placement, batcher, storage
+    return make_tiered_fleet(
+        sim, TIERED_MODEL, placement, batcher, storage, shared_queue=True
     ).serve(tiered_trace(qps=500_000.0))
 
 
@@ -263,8 +261,8 @@ def replay(key):
     placement = Placement("disaggregated", emb_hosts=1)
     batcher = MicroBatcher(16, 0.001)
     if name.startswith("pool"):
-        report = pool_replay(name, router, sim, placement, batcher)
-        return report.to_dict(), sim.timeline, report.num_requests
+        report = pool_replay(name, router, sim, placement, batcher).fleet
+        return report.fleet.to_dict(), sim.timeline, report.fleet.num_requests
     if name == "healthy":
         report = ServingFleet(
             sim, MODEL, placement, batcher,

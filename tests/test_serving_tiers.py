@@ -6,7 +6,6 @@ import pytest
 from repro.hardware import Cluster, memory_tiers
 from repro.serving import (
     CacheChain,
-    InferenceService,
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
@@ -21,7 +20,6 @@ from repro.serving import (
     build_storage,
     dollars_per_1k_requests,
     make_tiered_fleet,
-    make_tiered_service,
     storage_dollars,
 )
 from repro.sim import SimCluster
@@ -182,6 +180,7 @@ class TestBitIdenticalPreset:
 
     @pytest.mark.parametrize("strategy", ["colocated", "disaggregated"])
     def test_service_reports_identical(self, strategy):
+        """The shared-queue pool (one cache over every dense host)."""
         reqs = trace()
         reports = {}
         for tiered in (False, True):
@@ -190,16 +189,18 @@ class TestBitIdenticalPreset:
             batcher = MicroBatcher(16, 0.001)
             if tiered:
                 storage = build_storage("A100", 256, backing="hbm")
-                svc = make_tiered_service(
-                    sim, tiny_model(), placement, batcher, storage
+                svc = make_tiered_fleet(
+                    sim, tiny_model(), placement, batcher, storage,
+                    shared_queue=True,
                 )
             else:
-                svc = InferenceService(
+                svc = ServingFleet(
                     sim,
                     tiny_model(),
                     placement,
                     batcher,
-                    LRUEmbeddingCache(256),
+                    cache_rows=256,
+                    shared_queue=True,
                 )
             reports[tiered] = svc.serve(reqs).to_dict()
         assert reports[False] == reports[True]
@@ -235,14 +236,15 @@ class TestBitIdenticalPreset:
 class TestTieredPricing:
     def _serve(self, storage):
         sim = SimCluster(Cluster(4, 2, "A100"))
-        svc = make_tiered_service(
+        svc = make_tiered_fleet(
             sim,
             tiny_model(),
             Placement("disaggregated", emb_hosts=1),
             MicroBatcher(16, 0.001),
             storage,
+            shared_queue=True,
         )
-        return svc.serve(trace())
+        return svc.serve(trace()).fleet.fleet
 
     def test_dram_level_raises_hit_rate(self):
         base = self._serve(build_storage("A100", 128, backing="hbm"))
