@@ -114,19 +114,9 @@ _ArchKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 @functools.lru_cache(maxsize=16)
 def _dataset_for(data: DataSpec) -> SyntheticCriteoDataset:
-    config = SyntheticCriteoConfig(
-        num_dense=data.num_dense,
-        num_sparse=data.num_sparse,
-        cardinality=data.cardinality,
-        num_blocks=data.num_blocks,
-        rho=data.rho,
-        noise=data.noise,
-        cross_strength=data.cross_strength,
-        cvr_correlation=data.cvr_correlation,
-        cvr_bias=data.cvr_bias,
-        cvr_noise=data.cvr_noise,
+    return SyntheticCriteoDataset(
+        SyntheticCriteoConfig.from_spec(data), seed=data.dataset_seed
     )
-    return SyntheticCriteoDataset(config, seed=data.dataset_seed)
 
 
 @functools.lru_cache(maxsize=16)

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.data.criteo import SyntheticCriteoConfig
 from repro.hardware.specs import GPUGeneration, get_spec
 from repro.serving import (
     ROUTER_POLICIES,
@@ -205,8 +206,11 @@ class DataSpec(_SpecBase):
     """Synthetic Criteo-like click logs with planted block structure.
 
     Generator knobs mirror
-    :class:`repro.data.criteo.SyntheticCriteoConfig` (same defaults);
-    ``num_samples``/``eval_fraction`` describe the train/eval split.
+    :class:`repro.data.criteo.SyntheticCriteoConfig` (same defaults)
+    and map once, through
+    :meth:`~repro.data.criteo.SyntheticCriteoConfig.from_spec`, whose
+    config validates them; ``num_samples``/``eval_fraction`` describe
+    the train/eval split and are checked here.
     The ``cvr_*`` knobs shape the conversion label column and are read
     only when the model's ``tasks`` include ``"cvr"`` (cross-checked
     at the RunSpec level).
@@ -228,27 +232,8 @@ class DataSpec(_SpecBase):
     sample_seed: int = 1
 
     def __post_init__(self) -> None:
-        _require(self.num_dense >= 1, "num_dense must be >= 1")
-        _require(
-            self.num_sparse >= self.num_blocks >= 1,
-            f"need num_sparse >= num_blocks >= 1, got "
-            f"{self.num_sparse} / {self.num_blocks}",
-        )
-        _require(self.cardinality >= 2, "cardinality must be >= 2")
-        _require(0.0 <= self.rho <= 1.0, f"rho must be in [0, 1], got {self.rho}")
-        _require(self.noise >= 0.0, "noise must be non-negative")
-        _require(
-            0.0 <= self.cvr_correlation <= 1.0,
-            f"cvr_correlation must be in [0, 1], got {self.cvr_correlation}",
-        )
-        _require(
-            self.cvr_noise >= 0.0,
-            f"cvr_noise must be >= 0, got {self.cvr_noise}",
-        )
-        _require(
-            math.isfinite(self.cvr_bias),
-            f"cvr_bias must be finite, got {self.cvr_bias}",
-        )
+        with self._runtime_checks():
+            SyntheticCriteoConfig.from_spec(self)
         _require(self.num_samples >= 2, "num_samples must be >= 2")
         _require(
             0.0 < self.eval_fraction < 1.0,

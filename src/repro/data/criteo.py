@@ -21,8 +21,9 @@ a coherent one — the mechanism behind the paper's Table 6 gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 from scipy.special import ndtri  # inverse normal CDF, vectorized
@@ -75,21 +76,54 @@ class SyntheticCriteoConfig:
     cvr_noise: float = 0.3
 
     def __post_init__(self) -> None:
+        if self.num_dense < 1:
+            raise ValueError(f"num_dense must be >= 1, got {self.num_dense}")
+        if self.num_blocks < 1:
+            raise ValueError(
+                f"num_blocks must be >= 1, got {self.num_blocks}"
+            )
         if self.num_sparse < self.num_blocks:
             raise ValueError(
-                f"{self.num_blocks} blocks need at least that many sparse "
-                f"features, got {self.num_sparse}"
+                f"num_sparse must be >= num_blocks, got {self.num_sparse} "
+                f"< {self.num_blocks}"
+            )
+        if self.cardinality < 2:
+            raise ValueError(
+                f"cardinality must be >= 2, got {self.cardinality}"
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if min(self.num_dense, self.cardinality, self.num_blocks) <= 0:
-            raise ValueError("counts must be positive")
+        if self.noise < 0.0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not 0.0 <= self.cvr_correlation <= 1.0:
             raise ValueError(
                 f"cvr_correlation must be in [0, 1], got {self.cvr_correlation}"
             )
+        if not math.isfinite(self.cvr_bias):
+            raise ValueError(f"cvr_bias must be finite, got {self.cvr_bias}")
         if self.cvr_noise < 0.0:
             raise ValueError(f"cvr_noise must be >= 0, got {self.cvr_noise}")
+
+    @classmethod
+    def from_spec(cls, data: Any) -> "SyntheticCriteoConfig":
+        """The generator a ``data`` spec section describes.
+
+        ``data`` is read duck-typed (this package never imports
+        :mod:`repro.api`); this is the only place its generator knobs
+        are copied.
+        """
+        return cls(
+            num_dense=data.num_dense,
+            num_sparse=data.num_sparse,
+            cardinality=data.cardinality,
+            num_blocks=data.num_blocks,
+            rho=data.rho,
+            noise=data.noise,
+            cross_strength=data.cross_strength,
+            cvr_correlation=data.cvr_correlation,
+            cvr_bias=data.cvr_bias,
+            cvr_noise=data.cvr_noise,
+        )
 
 
 class SyntheticCriteoDataset:

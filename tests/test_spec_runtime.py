@@ -1,7 +1,7 @@
 """Spec sections against the runtime configs they build.
 
-The serve, train, faults and autoscale sections are validated by the
-runtime objects they map onto.  The rejection table pins that every
+The data, serve, train, faults and autoscale sections are validated by
+the runtime objects they map onto.  The rejection table pins that every
 knob those sections validate still rejects an out-of-range value, from
 direct construction and from ``RunSpec.from_dict``, with a message that
 names the knob (by its spec name or, where units differ, its runtime
@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     AutoscaleSpec,
+    DataSpec,
     FaultSpec,
     RunSpec,
     ServeSpec,
@@ -22,6 +23,8 @@ from repro.api import (
 )
 from repro.experiments.fault_tolerance import cadence_spec, mitigated_spec
 from repro.experiments.model_freshness import freshness_spec
+from repro.api.presets import train_dmt_criteo_spec
+from repro.data import SyntheticCriteoConfig
 from repro.experiments.serving_fleet import fleet_spec
 from repro.serving import (
     AutoscalePolicy,
@@ -41,6 +44,18 @@ _CRASH = dict(replica_crashes=1)
 #: (section, spec class, bad kwargs, names any of which the message
 #: must contain).
 REJECTIONS = [
+    # DataSpec
+    ("data", DataSpec, dict(num_dense=0), ("num_dense",)),
+    ("data", DataSpec, dict(num_sparse=3), ("num_sparse",)),
+    ("data", DataSpec, dict(num_blocks=0), ("num_blocks",)),
+    ("data", DataSpec, dict(cardinality=1), ("cardinality",)),
+    ("data", DataSpec, dict(rho=1.5), ("rho",)),
+    ("data", DataSpec, dict(noise=-0.1), ("noise",)),
+    ("data", DataSpec, dict(cvr_correlation=-0.1), ("cvr_correlation",)),
+    ("data", DataSpec, dict(cvr_bias=float("inf")), ("cvr_bias",)),
+    ("data", DataSpec, dict(cvr_noise=-0.1), ("cvr_noise",)),
+    ("data", DataSpec, dict(num_samples=1), ("num_samples",)),
+    ("data", DataSpec, dict(eval_fraction=1.0), ("eval_fraction",)),
     # ServeSpec
     ("serve", ServeSpec, dict(kind="xlm"), ("kind",)),
     ("serve", ServeSpec, dict(qps=0.0), ("qps",)),
@@ -232,16 +247,18 @@ class TestRejectionTable:
         _assert_names_knob(info.value, names)
 
     def test_every_validated_knob_has_a_case(self):
-        # recover_crashes, degraded_mode, verify and the seeds accept
-        # any value of their type; every other knob of these sections
-        # is range-checked and must appear in the table.
+        # recover_crashes, degraded_mode, verify, cross_strength and the
+        # seeds accept any value of their type; every other knob of
+        # these sections is range-checked and must appear in the table.
         unchecked = {
+            "data": {"cross_strength", "dataset_seed", "sample_seed"},
             "serve": {"seed"},
             "train": {"seed", "step_seed", "verify"},
             "faults": {"recover_crashes", "degraded_mode"},
             "autoscale": set(),
         }
         classes = {
+            "data": DataSpec,
             "serve": ServeSpec,
             "train": TrainSpec,
             "faults": FaultSpec,
@@ -279,6 +296,21 @@ def _batcher_knobs(batcher: MicroBatcher):
 
 class TestMappingEquivalence:
     """``from_spec`` objects equal the hand-built runtime objects."""
+
+    def test_train_dmt_criteo_data(self):
+        data = train_dmt_criteo_spec().data
+        assert SyntheticCriteoConfig.from_spec(data) == SyntheticCriteoConfig(
+            num_dense=13,
+            num_sparse=26,
+            cardinality=48,
+            num_blocks=4,
+            rho=0.9,
+            noise=0.5,
+            cross_strength=0.0,
+            cvr_correlation=0.7,
+            cvr_bias=-1.0,
+            cvr_noise=0.3,
+        )
 
     def test_fault_tolerance_mitigated_arm(self):
         spec = mitigated_spec(150_000, 3)
