@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 from scipy.special import ndtri  # inverse normal CDF, vectorized

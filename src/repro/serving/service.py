@@ -2,10 +2,10 @@
 per-batch pricing.
 
 The replay itself — micro-batcher, LRU embedding cache, routing — is
-:class:`~repro.serving.fleet.ServingFleet`; its shared-queue pool
-preset (one batcher and cache feeding every dense host) is the classic
-single-service setup.  This module holds what that replay prices each
-batch with, and the report it returns: tail latency + sustained
+:class:`~repro.serving.fleet.ServingFleet`, whose shared-queue pool
+preset (one batcher and cache feeding every dense host) answers the
+placement question alone.  This module holds what that replay prices
+each batch with, and the report it returns: tail latency + sustained
 throughput.  Two placement strategies are modeled (the DisaggRec
 framing, arXiv:2212.00939):
 

@@ -14,12 +14,12 @@ recent-send counts.
 The ``pool/*`` and ``pool-tiered/*`` entries pin the shared-queue pool
 (one batcher and one cache feeding every dense host), recorded through
 the standalone single-service replay before it became the fleet's
-``shared_queue=True`` preset, so they pin that the fold changed no bit.  Their report digest is the bare
-:class:`~repro.serving.ServingReport` dict and their timeline digest
-leaves the event labels out: the fleet labels every event with its
-replica, the standalone replay did not.  ``EXPERIMENT_GOLDEN`` pins the
-full ``to_json()`` of the fast serving experiments, which serve through
-the pool.
+``shared_queue=True`` preset, so they pin that the fold changed no bit.
+Their report digest is the bare :class:`~repro.serving.ServingReport`
+dict and their timeline digest leaves the event labels out: the fleet
+labels every event with its replica, the standalone replay did not.
+``EXPERIMENT_GOLDEN`` pins the full ``to_json()`` of the fast serving
+experiments, which serve through the pool.
 
 Regenerate (only on an intentional pricing change, said in the commit)
 with ``PYTHONPATH=src python tests/test_serving_golden.py``.
@@ -261,8 +261,8 @@ def replay(key):
     placement = Placement("disaggregated", emb_hosts=1)
     batcher = MicroBatcher(16, 0.001)
     if name.startswith("pool"):
-        report = pool_replay(name, router, sim, placement, batcher).fleet
-        return report.fleet.to_dict(), sim.timeline, report.fleet.num_requests
+        report = pool_replay(name, router, sim, placement, batcher)
+        return report.fleet.fleet.to_dict(), sim.timeline, report.num_served
     if name == "healthy":
         report = ServingFleet(
             sim, MODEL, placement, batcher,
